@@ -8,7 +8,7 @@ formula, and multiply two basis elements.
 """
 
 from rblie.expr import format_lincomb, format_word
-from rblie.pcls import LSContext, enum_ls, lie_mult
+from rblie.pcls import LSContext, enum_ls
 from rblie.terms import Alphabet
 from rblie.verify import witt_count
 
@@ -31,4 +31,4 @@ words = enum_ls(al, 3)
 u = words[1]  # [a,[a,b]]
 v = words[-1]  # b
 print()
-print("%s * %s = %s" % (format_word(u), format_word(v), format_lincomb(lie_mult(ctx, u, v))))
+print("%s * %s = %s" % (format_word(u), format_word(v), format_lincomb(ctx.mult_comb(u, v))))

@@ -8,7 +8,7 @@ and the bracket of two commuting generators collapses to zero.
 """
 
 from rblie.expr import format_lincomb, format_word, parse_word
-from rblie.pcls import CommGraph, PCLSContext, enum_pcls, load_graph, pc_mult
+from rblie.pcls import CommGraph, PCLSContext, enum_pcls, load_graph
 from rblie.terms import Alphabet
 
 al = Alphabet(("a", "b", "c"))
@@ -35,4 +35,4 @@ print([format_word(w) for w in enum_pcls(al, edge, 3)])
 # The product respects the relations: multiplying a by b gives zero.
 a = parse_word("a", al)
 b = parse_word("b", al)
-print("a * b =", format_lincomb(pc_mult(ctx, a, b)))
+print("a * b =", format_lincomb(ctx.mult_comb(a, b)))

@@ -8,7 +8,7 @@ the weight taken from the context.
 """
 
 from rblie.expr import format_lincomb, format_word, parse_word
-from rblie.free_rb import FreeRBContext, apply_R, enum_free_basis, rb_mult
+from rblie.free_rb import FreeRBContext, enum_free_basis
 from rblie.terms import Alphabet
 
 al = Alphabet(("a", "b"))
@@ -22,12 +22,12 @@ u = parse_word("R(a)", al)
 v = parse_word("R(b)", al)
 for weight in (0, 1):
     ctx = FreeRBContext(al, weight=weight)
-    print("weight %d: R(a) * R(b) = %s" % (weight, format_lincomb(rb_mult(ctx, u, v))))
+    print("weight %d: R(a) * R(b) = %s" % (weight, format_lincomb(ctx.mult_comb(u, v))))
 
 # Applying the operator to a straightened product stays inside the span.
 ctx = FreeRBContext(al, weight=1)
-prod = rb_mult(ctx, u, v)
-print("R(R(a) * R(b)) =", format_lincomb(apply_R(ctx, prod)))
+prod = ctx.mult_comb(u, v)
+print("R(R(a) * R(b)) =", format_lincomb(ctx.apply_r(prod)))
 
 # A word the straightener has to work for: the two R letters inside the
 # bracket are reordered and the nested argument is rebuilt.

@@ -9,21 +9,17 @@ property harness (verify), and the CLI (cli).
 """
 
 from .algebras import (
-    DerivedOps, RBView, Report, StructureAlgebra, abelianize, check_lie,
-    check_pre_lie, check_post_lie, check_rb, derivation_prelie_example,
-    derived_structure, format_algebra, load_algebra, parse_algebra_text,
+    Report, StructureAlgebra, abelianize, check_lie, check_pre_lie, check_post_lie,
+    derivation_prelie_example, format_algebra, load_algebra, parse_algebra_text,
 )
-from .enveloping import (
-    EnvContext, embed, enum_env_basis, env_mult, is_env_basis, pbw_table,
-    reduce_to_env,
-)
+from .enveloping import EnvContext, embed, pbw_table
 from .expr import ExprError, format_lincomb, format_word, parse_expr, parse_word
-from .free_rb import FreeRBContext, apply_R, enum_free_basis, is_free_basis, rb_mult
+from .free_rb import FreeRBContext, enum_free_basis
 from .lincomb import LinComb
 from .lyndon import is_assoc_ls, is_ls, standard_bracketing
 from .pcls import (
-    CommGraph, LSContext, PCLSContext, enum_ls, enum_pcls, format_graph,
-    is_pcls, lie_mult, load_graph, parse_graph_text, pc_mult,
+    CommGraph, LSContext, PCLSContext, enum_ls, enum_pcls, format_graph, load_graph,
+    parse_graph_text,
 )
 from .rng import XorShift64
 from .straighten import BasisContext, FuelError, enumerate_basis
@@ -36,18 +32,15 @@ from .verify import PROPERTIES, run_property, witt_count
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "BasisContext", "Br", "CommGraph", "DerivedOps", "EnvContext",
-    "ExprError", "FreeRBContext", "FuelError", "Gen", "LSContext", "LinComb",
-    "PCLSContext", "PROPERTIES", "RApp", "RBView", "Report", "StructureAlgebra",
-    "Word", "XorShift64", "abelianize", "apply_R", "atoms", "check_lie",
-    "check_pre_lie", "check_post_lie", "check_rb", "compare_letters",
-    "compare_words", "derivation_prelie_example", "derived_structure", "embed",
-    "enum_env_basis", "enum_free_basis", "enum_ls", "enum_pcls",
-    "enumerate_basis", "env_mult", "format_algebra", "format_graph",
-    "format_lincomb", "format_word", "is_assoc_ls", "is_env_basis",
-    "is_free_basis", "is_ls", "is_pcls", "lie_mult", "load_algebra",
-    "load_graph", "parse_algebra_text", "parse_expr", "parse_graph_text",
-    "parse_word", "pbw_table", "pc_mult", "rb_mult", "reduce_to_env",
-    "run_property", "sort_words_descending", "standard_bracketing",
-    "total_cmp", "witt_count", "__version__",
+    "Alphabet", "BasisContext", "Br", "CommGraph", "EnvContext", "ExprError",
+    "FreeRBContext", "FuelError", "Gen", "LSContext", "LinComb", "PCLSContext",
+    "PROPERTIES", "RApp", "Report", "StructureAlgebra", "Word", "XorShift64",
+    "abelianize", "atoms", "check_lie", "check_pre_lie", "check_post_lie",
+    "compare_letters", "compare_words", "derivation_prelie_example", "embed",
+    "enum_free_basis", "enum_ls", "enum_pcls", "enumerate_basis",
+    "format_algebra", "format_graph", "format_lincomb", "format_word",
+    "is_assoc_ls", "is_ls", "load_algebra", "load_graph", "parse_algebra_text",
+    "parse_expr", "parse_graph_text", "parse_word", "pbw_table", "run_property",
+    "sort_words_descending", "standard_bracketing", "total_cmp", "witt_count",
+    "__version__",
 ]

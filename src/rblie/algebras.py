@@ -11,10 +11,10 @@ kind tag, and sparse tables:
   * kind "lie":  a Lie bracket alone.
 
 Validators check the defining laws exhaustively over basis triples and
-report every violating triple.  `RBView` packages any product/operator
-pair so the Rota-Baxter identity can be checked on sample elements, and
-`derived_structure` builds the pre-Lie (weight 0) or post-Lie (weight 1)
-operations x.y = [R(x), y] induced by such a view.
+report every violating triple.  The `*_residue` helpers evaluate one law
+on one tuple of elements for any product passed in (and, for
+`rb_residue`, an operator and its weight); the validators here and the
+context checks in `verify` share them.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .terms import Alphabet, Gen
 __all__ = [
     "Report", "StructureAlgebra", "check_lie", "check_pre_lie", "check_post_lie",
     "abelianize", "derivation_prelie_example",
-    "RBView", "check_rb", "DerivedOps", "derived_structure",
-    "pre_lie_residue", "jacobi_residue", "post_lie_residues",
+    "pre_lie_residue", "jacobi_residue", "post_lie_residues", "rb_residue",
     "pre_lie_violations", "post_lie_violations", "jacobi_violations",
     "parse_algebra_text", "load_algebra", "format_algebra",
 ]
@@ -170,6 +169,17 @@ def post_lie_residues(dot, bracket, x, y, z):
     first = lhs - dot(bracket(y, x), z)
     second = dot(x, bracket(y, z)) - bracket(dot(x, y), z) - bracket(y, dot(x, z))
     return first, second
+
+
+def rb_residue(mult, operator, weight, x, y):
+    """[R(x),R(y)] - R([R(x),y] + [x,R(y)] + weight*[x,y]); zero iff the
+    Rota-Baxter identity holds on (x, y)."""
+    rx = operator(x)
+    ry = operator(y)
+    inner = mult(rx, y) + mult(x, ry)
+    if weight:
+        inner.iadd_comb(mult(x, y), weight)
+    return mult(rx, ry) - operator(inner)
 
 
 def pre_lie_violations(dot, elems, order=None):
@@ -317,56 +327,6 @@ def derivation_prelie_example(n, m):
     if not report.passed:
         raise AssertionError("truncated derivation table failed its law: %s" % report.line())
     return algebra
-
-
-# -- Rota-Baxter views and derived operations -----------------------------
-
-
-@dataclass
-class RBView:
-    """A product and an operator on some space of LinCombs, with a weight."""
-
-    mult: object
-    operator: object
-    weight: int
-
-
-def check_rb(view, pairs):
-    """The Rota-Baxter identity on the given element pairs.
-
-    [R(x),R(y)] = R([R(x),y] + [x,R(y)] + weight*[x,y]) for each (x,y).
-    """
-    report = Report("rota-baxter weight %d" % view.weight)
-    for x, y in pairs:
-        rx = view.operator(x)
-        ry = view.operator(y)
-        inner = view.mult(rx, y) + view.mult(x, ry)
-        if view.weight:
-            inner = inner + view.mult(x, y)
-        diff = view.mult(rx, ry) - view.operator(inner)
-        report.checked += 1
-        if diff:
-            report.violations.append("pair=(%s | %s) residue-terms=%d" % (x, y, len(diff)))
-    return report
-
-
-@dataclass
-class DerivedOps:
-    """Operations induced on a Rota-Baxter view: x.y = [R(x),y], and for
-    weight 1 also the ambient bracket."""
-
-    kind: str
-    dot: object
-    bracket: object = None
-
-
-def derived_structure(view):
-    def dot(x, y):
-        return view.mult(view.operator(x), y)
-
-    if view.weight == 0:
-        return DerivedOps("pre", dot)
-    return DerivedOps("post", dot, view.mult)
 
 
 # -- text format -----------------------------------------------------------

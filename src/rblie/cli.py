@@ -221,6 +221,9 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

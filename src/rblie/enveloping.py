@@ -17,7 +17,7 @@ three letter rules: R-against-R is the Rota-Baxter composition, [R(x), y]
 for generators x, y is the stored product x.y, and for weight 1 [x, y] on
 generators is the stored bracket.  Bracket words excluded from E are
 exactly the ones those rules rewrite, so reduction terminates in E and
-`reduce_to_env` evaluates any expression to coordinates.
+`EnvContext.evaluate` takes any expression to coordinates.
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ from collections import Counter
 
 from .free_rb import FreeRBContext
 from .lincomb import LinComb
-from .lyndon import ls_shape_ok
+from .straighten import enumerate_basis
 from .terms import Gen, RApp
 
-__all__ = [
-    "EnvContext", "is_env_basis", "enum_env_basis", "env_mult",
-    "reduce_to_env", "embed", "pbw_table",
-]
+__all__ = ["EnvContext", "embed", "pbw_table"]
 
 
 class EnvContext(FreeRBContext):
@@ -54,6 +51,8 @@ class EnvContext(FreeRBContext):
         super().__init__(algebra.alphabet, weight=weight, fuel_limit=fuel_limit)
         self.algebra = algebra
         self.kind = algebra.kind
+        if self.weight:
+            self._node_ok = _has_r
 
     def _lift(self, entry):
         out = LinComb()
@@ -82,35 +81,9 @@ class EnvContext(FreeRBContext):
         return (isinstance(a, RApp) and not isinstance(a.arg, Gen)
                 and self.is_basis_word(a.arg))
 
-    def _node_has_r(self, node):
-        return node.degr > 0
 
-    def _basis_check(self, w):
-        if isinstance(w, Gen):
-            return w.name in self.alphabet
-        if isinstance(w, RApp):
-            return self.is_basis_word(w.arg)
-        node_ok = self._node_has_r if self.weight else None
-        return ls_shape_ok(w, self.adjacent, self._atom_ok, node_ok)
-
-
-def is_env_basis(ctx, w):
-    return ctx.is_basis_word(w)
-
-
-def enum_env_basis(ctx, max_deg, max_rdeg):
-    from .straighten import enumerate_basis
-
-    return enumerate_basis(ctx, max_deg, max_rdeg)
-
-
-def env_mult(ctx, u, v):
-    return ctx.mult(u, v)
-
-
-def reduce_to_env(ctx, x):
-    """Coordinates in E of any word or combination over generators and R."""
-    return ctx.evaluate(x)
+def _has_r(node):
+    return node.degr > 0
 
 
 def embed(ctx, x):
@@ -125,6 +98,6 @@ def pbw_table(ctx, max_deg, max_rdeg):
     """Counter mapping (generator-degree, operator-degree) to the number of
     basis words of that bidegree."""
     table = Counter()
-    for w in enum_env_basis(ctx, max_deg, max_rdeg):
+    for w in enumerate_basis(ctx, max_deg, max_rdeg):
         table[(w.xdeg, w.degr)] += 1
     return table

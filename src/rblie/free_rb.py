@@ -23,12 +23,14 @@ from .lyndon import ls_shape_ok
 from .straighten import BasisContext, enumerate_basis
 from .terms import Gen, RApp
 
-__all__ = ["FreeRBContext", "is_free_basis", "enum_free_basis", "rb_mult", "apply_R"]
+__all__ = ["FreeRBContext", "enum_free_basis"]
 
 
 class FreeRBContext(BasisContext):
 
     supports_operator = True
+    # extra condition on every bracket node of a basis word; None for none
+    _node_ok = None
 
     def __init__(self, alphabet, weight=0, fuel_limit=None):
         if weight not in (0, 1):
@@ -61,26 +63,10 @@ class FreeRBContext(BasisContext):
             return w.name in self.alphabet
         if isinstance(w, RApp):
             return self.is_basis_word(w.arg)
-        return ls_shape_ok(w, adjacent=self.adjacent, atom_ok=self._atom_ok)
-
-
-def is_free_basis(w, alphabet):
-    """Membership of w in the standard basis of the free Rota-Baxter Lie
-    algebra over the alphabet.  The weight plays no role here."""
-    return FreeRBContext(alphabet).is_basis_word(w)
+        return ls_shape_ok(w, self.adjacent, self._atom_ok, self._node_ok)
 
 
 def enum_free_basis(alphabet, max_deg, max_rdeg):
     """Basis words with at most max_deg generator occurrences and max_rdeg
     R symbols, greatest first.  Independent of the weight."""
     return enumerate_basis(FreeRBContext(alphabet), max_deg, max_rdeg)
-
-
-def rb_mult(ctx, u, v):
-    """Bracket of two basis words, straightened over the standard basis."""
-    return ctx.mult_comb(u, v)
-
-
-def apply_R(ctx, x):
-    """The operator applied to a combination of basis words."""
-    return ctx.apply_r(x)

@@ -20,9 +20,7 @@ from .straighten import BasisContext, enumerate_basis
 from .terms import Gen
 
 __all__ = [
-    "CommGraph", "PCLSContext", "LSContext",
-    "is_pcls", "enum_pcls", "pc_mult",
-    "enum_ls", "lie_mult",
+    "CommGraph", "PCLSContext", "LSContext", "enum_pcls", "enum_ls",
     "parse_graph_text", "load_graph", "format_graph",
 ]
 
@@ -136,26 +134,11 @@ class LSContext(PCLSContext):
         super().__init__(alphabet, CommGraph.empty(alphabet))
 
 
-def is_pcls(w, alphabet, graph):
-    """Admissibility of w for the given commutation graph."""
-    return PCLSContext(alphabet, graph).is_basis_word(w)
-
-
 def enum_pcls(alphabet, graph, max_deg):
     """Admissible words of degree at most max_deg, greatest first."""
     return enumerate_basis(PCLSContext(alphabet, graph), max_deg, 0)
 
 
-def pc_mult(ctx, u, v):
-    """Bracket of two admissible words over a commutation graph."""
-    return ctx.mult_comb(u, v)
-
-
 def enum_ls(alphabet, max_deg):
     """Lyndon-Shirshov basis words of the free Lie algebra, greatest first."""
     return enumerate_basis(LSContext(alphabet), max_deg, 0)
-
-
-def lie_mult(ctx, u, v):
-    """Bracket of two Lyndon-Shirshov words in the free Lie algebra."""
-    return ctx.mult_comb(u, v)

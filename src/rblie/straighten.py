@@ -17,11 +17,22 @@ rule:
 
 Rules 5 and 6 are identities in any Lie algebra, rule 3 encodes the
 defining relations of the target, so the loop computes coordinates in
-the basis selected by the context's membership test.  Termination is
-guarded by a fuel counter (default one million steps per product).
+the basis selected by the context's membership test.
 
-Results are memoized per context; entries are pure values, so concurrent
-readers are safe and duplicate writes are idempotent.
+Termination is guarded by fuel.  Each call of `mult` or `mult_comb` gets
+one budget of `fuel_limit` rewriting steps (default one million), and
+`mult_comb` spends that single budget on the whole bilinear expansion of
+its operands, not one budget per pair of words; `evaluate` makes one
+such call, with its own budget, per bracket node.  Only products computed
+afresh cost a step; memo hits are free, so whether a product runs out of
+fuel depends on how much of its expansion the memo already holds.  A
+product whose expansion needs itself raises a cyclic FuelError.
+
+Results are memoized per context; entries are pure values, so threads
+may share one context: duplicate writes are idempotent, and the
+in-progress products that the cycle guard tracks belong to each call's
+own budget, so one thread never mistakes another's unfinished product
+for a cycle.
 """
 
 from __future__ import annotations
@@ -45,13 +56,13 @@ class FuelError(RuntimeError):
 
 
 class _Fuel:
-    __slots__ = ("left",)
+    """One call's step budget and the products it has in progress."""
+
+    __slots__ = ("left", "active")
 
     def __init__(self, amount):
         self.left = amount
-
-
-_ACTIVE = object()
+        self.active = set()
 
 
 class BasisContext:
@@ -159,19 +170,16 @@ class BasisContext:
         key = (u, v)
         hit = self._memo.get(key)
         if hit is not None:
-            if hit is _ACTIVE:
-                # the expansion of u*v needs u*v itself: no rewrite can close this
-                raise FuelError(u, v, cyclic=True)
             return hit
+        if key in fuel.active:
+            # the expansion of u*v needs u*v itself: no rewrite can close this
+            raise FuelError(u, v, cyclic=True)
         fuel.left -= 1
         if fuel.left <= 0:
             raise FuelError(u, v)
-        self._memo[key] = _ACTIVE
-        try:
-            res = self._mult_steps(u, v, fuel)
-        finally:
-            if self._memo.get(key) is _ACTIVE:
-                del self._memo[key]
+        fuel.active.add(key)
+        res = self._mult_steps(u, v, fuel)
+        fuel.active.discard(key)
         self._memo[key] = res
         return res
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .algebras import (
-    Report, abelianize, jacobi_residue, post_lie_residues, pre_lie_residue,
+    Report, abelianize, jacobi_residue, post_lie_residues, pre_lie_residue, rb_residue,
 )
 from .expr import format_word
 from .free_rb import FreeRBContext
@@ -85,14 +85,9 @@ def check_jacobi(ctx, triples):
 
 def check_rb_property(ctx, pairs):
     report = Report("rb weight %d" % ctx.weight)
-    m = ctx.mult_comb
     for u, v in pairs:
         x, y = LinComb.single(u), LinComb.single(v)
-        rx, ry = ctx.apply_r(x), ctx.apply_r(y)
-        inner = m(rx, y) + m(x, ry)
-        if ctx.weight:
-            inner.iadd_comb(m(x, y))
-        residue = m(rx, ry) - ctx.apply_r(inner)
+        residue = rb_residue(ctx.mult_comb, ctx.apply_r, ctx.weight, x, y)
         report.checked += 1
         if residue:
             report.violations.append(_wit((u, v)))

@@ -6,19 +6,17 @@ import pytest
 
 from conftest import dual_numbers_pre, one_dim_pre, pre_as_post, so3_post
 from rblie.algebras import (
-    RBView,
     StructureAlgebra,
     abelianize,
-    check_rb,
     derivation_prelie_example,
-    derived_structure,
     format_algebra,
     parse_algebra_text,
-    post_lie_violations,
-    pre_lie_violations,
+    rb_residue,
 )
 from rblie.free_rb import FreeRBContext, enum_free_basis
 from rblie.lincomb import LinComb
+from rblie.straighten import enumerate_basis
+from rblie.verify import check_derived
 
 
 class TestConstruction:
@@ -136,11 +134,6 @@ class TestDerivationExample:
             derivation_prelie_example(1, 0)
 
 
-def _free_view(ab, weight):
-    ctx = FreeRBContext(ab, weight=weight)
-    return ctx, RBView(mult=ctx.mult_comb, operator=ctx.apply_r, weight=weight)
-
-
 def _element_pairs(ab):
     words = enum_free_basis(ab, 2, 1)
     singles = [LinComb.single(w) for w in words]
@@ -148,50 +141,42 @@ def _element_pairs(ab):
     return [(x, y) for x, y in itertools.product(singles + [mixed], repeat=2)]
 
 
+def _rb_residues(ctx, operator, pairs):
+    return [rb_residue(ctx.mult_comb, operator, ctx.weight, x, y) for x, y in pairs]
+
+
 class TestRBView:
     @pytest.mark.parametrize("weight", [0, 1])
     def test_operator_law_holds(self, ab, weight):
-        _, view = _free_view(ab, weight)
-        report = check_rb(view, _element_pairs(ab))
-        assert report.passed, report.line()
+        ctx = FreeRBContext(ab, weight=weight)
+        assert not any(_rb_residues(ctx, ctx.apply_r, _element_pairs(ab)))
 
     def test_additive_corruption_fails(self, ab):
         # R + id breaks the weight-0 law (2R would not: the law is
         # quadratic on the left and linear inside, but scaling by 2
         # also doubles the inner term, so it cancels)
-        ctx, view = _free_view(ab, 0)
-        bad = RBView(
-            mult=ctx.mult_comb,
-            operator=lambda x: ctx.apply_r(x) + x,
-            weight=0,
-        )
-        report = check_rb(bad, _element_pairs(ab))
-        assert not report.passed
+        ctx = FreeRBContext(ab, weight=0)
+        assert any(_rb_residues(ctx, lambda x: ctx.apply_r(x) + x, _element_pairs(ab)))
 
     def test_scaling_is_not_a_control(self, ab):
-        ctx, _ = _free_view(ab, 0)
-        doubled = RBView(
-            mult=ctx.mult_comb,
-            operator=lambda x: ctx.apply_r(x) * 2,
-            weight=0,
-        )
-        assert check_rb(doubled, _element_pairs(ab)).passed
+        ctx = FreeRBContext(ab, weight=0)
+        assert not any(_rb_residues(ctx, lambda x: ctx.apply_r(x) * 2, _element_pairs(ab)))
+
+
+def _basis_triples(ctx):
+    return list(itertools.product(enumerate_basis(ctx, 2, 1), repeat=3))
 
 
 class TestDerivedStructure:
     def test_weight_zero_gives_pre_lie(self, ab):
-        ctx, view = _free_view(ab, 0)
-        ops = derived_structure(view)
-        assert ops.kind == "pre" and ops.bracket is None
-        elems = [LinComb.single(w) for w in enum_free_basis(ab, 2, 1)]
-        assert pre_lie_violations(ops.dot, elems).passed
+        ctx = FreeRBContext(ab, weight=0)
+        report = check_derived(ctx, _basis_triples(ctx))
+        assert report.name == "derived-pre" and report.passed, report.line()
 
     def test_weight_one_gives_post_lie(self, ab):
-        ctx, view = _free_view(ab, 1)
-        ops = derived_structure(view)
-        assert ops.kind == "post" and ops.bracket is view.mult
-        elems = [LinComb.single(w) for w in enum_free_basis(ab, 2, 1)]
-        assert post_lie_violations(ops.dot, ops.bracket, elems).passed
+        ctx = FreeRBContext(ab, weight=1)
+        report = check_derived(ctx, _basis_triples(ctx))
+        assert report.name == "derived-post" and report.passed, report.line()
 
 
 class TestTextFormat:

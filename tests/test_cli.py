@@ -106,6 +106,12 @@ class TestReduce:
                              "--algebra", SO3, "[a,b]")
         assert code == 0 and out == "c\n"
 
+    def test_deep_input_is_an_input_error(self, capsys):
+        deep = "R(" * 1200 + "a" + ")" * 1200
+        code, out, err = run(capsys, "reduce", "--kind", "free-rb", "--alphabet", "a,b", deep)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_jacobi_pass(self, capsys):

@@ -7,22 +7,18 @@ on a small box and on seeded samples beyond it.
 """
 
 import itertools
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
 from rblie.expr import format_lincomb, parse_word
-from rblie.free_rb import (
-    FreeRBContext,
-    apply_R,
-    enum_free_basis,
-    is_free_basis,
-    rb_mult,
-)
+from rblie.free_rb import FreeRBContext, enum_free_basis
 from rblie.lincomb import LinComb
 from rblie.straighten import FuelError, enumerate_basis
 from rblie.terms import Alphabet, Br, Gen, RApp, total_cmp
-from rblie.verify import sample_basis
+from rblie.verify import check_jacobi, sample_basis
 
 
 @pytest.fixture
@@ -69,16 +65,16 @@ class TestMembership:
         ],
     )
     def test_two_letters(self, ab, text, want):
-        assert is_free_basis(parse_word(text, ab), ab) is want
+        assert FreeRBContext(ab).is_basis_word(parse_word(text, ab)) is want
 
     def test_four_letter_nested_example(self):
         al = Alphabet(("a", "b", "c", "d"))
         w = parse_word("[[R(R(a)),b],[R(c),d]]", al)
-        assert is_free_basis(w, al)
+        assert FreeRBContext(al).is_basis_word(w)
 
     def test_argument_must_be_basis(self, ab):
         w = parse_word("R([R(a),R(b)])", ab)
-        assert not is_free_basis(w, ab)
+        assert not FreeRBContext(ab).is_basis_word(w)
 
     def test_weight_does_not_change_membership(self, ctx0, ctx1, ab):
         pool = enum_free_basis(ab, 3, 2)
@@ -126,24 +122,24 @@ class TestEnumeration:
 class TestOperator:
     def test_apply_r_keeps_basis(self, ctx0, ab):
         for w in enum_free_basis(ab, 2, 1):
-            image = apply_R(ctx0, w)
+            image = ctx0.apply_r(w)
             assert list(image) == [RApp(w)]
             assert ctx0.is_basis_word(RApp(w))
 
     def test_composition_weight_zero(self, ctx0, ab):
         a, b = ab.gens()
-        got = rb_mult(ctx0, RApp(a), RApp(b))
+        got = ctx0.mult_comb(RApp(a), RApp(b))
         assert format_lincomb(got) == "R([R(a),b]) - R([R(b),a])"
 
     def test_composition_weight_one(self, ctx1, ab):
         a, b = ab.gens()
-        got = rb_mult(ctx1, RApp(a), RApp(b))
+        got = ctx1.mult_comb(RApp(a), RApp(b))
         assert format_lincomb(got) == "R([R(a),b]) - R([R(b),a]) + R([a,b])"
 
     def test_same_argument_collapses(self, ctx0, ctx1, ab):
         a = ab.gen("a")
-        assert rb_mult(ctx0, RApp(a), RApp(a)).is_zero
-        assert rb_mult(ctx1, RApp(a), RApp(a)).is_zero
+        assert ctx0.mult_comb(RApp(a), RApp(a)).is_zero
+        assert ctx1.mult_comb(RApp(a), RApp(a)).is_zero
 
 
 class TestIdentitiesExhaustive:
@@ -260,3 +256,53 @@ class TestFuel:
         u = parse_word("[R(R(a)),[R(a),b]]", ab)
         v = parse_word("[R(b),b]", ab)
         assert ctx0.mult(u, v) is not None
+
+    def test_one_budget_per_call_and_memo_hits_are_free(self, ab):
+        x = LinComb.single(parse_word("R(a)", ab)) + LinComb.single(parse_word("R(b)", ab))
+        y = parse_word("[R(a),b]", ab)
+        single = max(_least_budget(ab, lambda ctx, w=w: ctx.mult(w, y)) for w in x)
+        assert _least_budget(ab, lambda ctx: ctx.mult_comb(x, y)) > single
+        warm = FreeRBContext(ab, fuel_limit=single)
+        for w in x:
+            warm.mult(w, y)
+        assert warm.mult_comb(x, y) == FreeRBContext(ab).mult_comb(x, y)
+
+
+def _least_budget(ab, call):
+    """The smallest fuel_limit under which call(fresh context) succeeds."""
+    for limit in range(1, 10 ** 4):
+        try:
+            call(FreeRBContext(ab, fuel_limit=limit))
+        except FuelError:
+            continue
+        return limit
+    raise AssertionError("no budget below 10**4 suffices")
+
+
+class TestConcurrency:
+    def test_threads_sharing_a_context_see_no_false_cycle(self, ab):
+        # the cycle guard must tell a call's own unfinished products
+        # from those another thread is computing in the same memo
+        ctx = FreeRBContext(ab, weight=1)
+        triples = sample_basis(ctx, 3, 2, 7, 40, 3)
+        reports, errors = [], []
+
+        def work():
+            try:
+                reports.append(check_jacobi(ctx, triples))
+            except FuelError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(reports) == 4 and all(r.passed for r in reports)

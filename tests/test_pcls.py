@@ -20,11 +20,8 @@ from rblie.pcls import (
     enum_ls,
     enum_pcls,
     format_graph,
-    is_pcls,
-    lie_mult,
     load_graph,
     parse_graph_text,
-    pc_mult,
 )
 from rblie.terms import Alphabet
 
@@ -93,20 +90,23 @@ class TestGraphFiles:
 
 class TestMembership:
     def test_edge_bracket_not_admissible(self, abc, edge_ab):
-        assert not is_pcls(parse_word("[a,b]", abc), abc, edge_ab)
-        assert is_pcls(parse_word("[a,c]", abc), abc, edge_ab)
-        assert is_pcls(parse_word("[b,c]", abc), abc, edge_ab)
+        ctx = PCLSContext(abc, edge_ab)
+        assert not ctx.is_basis_word(parse_word("[a,b]", abc))
+        assert ctx.is_basis_word(parse_word("[a,c]", abc))
+        assert ctx.is_basis_word(parse_word("[b,c]", abc))
 
     def test_one_nonadjacent_left_letter_saves_a_node(self, abc, edge_ab):
+        ctx = PCLSContext(abc, edge_ab)
         # [[a,c],b]: the head of the right half is b; a commutes with it
         # but c does not, and one witness letter is enough
-        assert is_pcls(parse_word("[[a,c],b]", abc), abc, edge_ab)
+        assert ctx.is_basis_word(parse_word("[[a,c],b]", abc))
         # [a,[b,c]]: the only left letter commutes with the head b
-        assert not is_pcls(parse_word("[a,[b,c]]", abc), abc, edge_ab)
+        assert not ctx.is_basis_word(parse_word("[a,[b,c]]", abc))
 
     def test_still_requires_ls_shape(self, abc, edge_ab):
-        assert not is_pcls(parse_word("[b,a]", abc), abc, edge_ab)
-        assert not is_pcls(parse_word("[c,[a,b]]", abc), abc, edge_ab)
+        ctx = PCLSContext(abc, edge_ab)
+        assert not ctx.is_basis_word(parse_word("[b,a]", abc))
+        assert not ctx.is_basis_word(parse_word("[c,[a,b]]", abc))
 
 
 class TestEnumeration:
@@ -131,15 +131,15 @@ class TestProduct:
     def test_adjacent_letters_bracket_to_zero(self, abc, path_abc):
         ctx = PCLSContext(abc, path_abc)
         a, b, c = abc.gens()
-        assert pc_mult(ctx, a, b) == LinComb()
-        assert pc_mult(ctx, c, b) == LinComb()
-        assert pc_mult(ctx, a, c) == LinComb.single(parse_word("[a,c]", abc))
+        assert ctx.mult_comb(a, b) == LinComb()
+        assert ctx.mult_comb(c, b) == LinComb()
+        assert ctx.mult_comb(a, c) == LinComb.single(parse_word("[a,c]", abc))
 
     def test_frozen_zero_product(self, abc, path_abc):
         # [[a,c],b] = [[a,b],c] + [a,[c,b]] and both pieces die
         ctx = PCLSContext(abc, path_abc)
         u = parse_word("[a,c]", abc)
-        assert pc_mult(ctx, u, abc.gen("b")) == LinComb()
+        assert ctx.mult_comb(u, abc.gen("b")) == LinComb()
 
     def test_empty_graph_agrees_with_free_product(self, abc):
         pctx = PCLSContext(abc, CommGraph.empty(abc))
@@ -148,7 +148,7 @@ class TestProduct:
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
-            assert pc_mult(pctx, u, v) == lie_mult(lctx, u, v)
+            assert pctx.mult_comb(u, v) == lctx.mult_comb(u, v)
 
 
 def _graphs(abc):
@@ -175,7 +175,7 @@ class TestIdentities:
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
-            got = expand_comb(pc_mult(graph_ctx, u, v), commutes)
+            got = expand_comb(graph_ctx.mult_comb(u, v), commutes)
             pu = expand(u, commutes)
             pv = expand(v, commutes)
             assert got == (pu * pv - pv * pu).normalized(commutes), (u, v)
@@ -185,7 +185,7 @@ class TestIdentities:
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 7:
                 continue
-            total = pc_mult(graph_ctx, u, v) + pc_mult(graph_ctx, v, u)
+            total = graph_ctx.mult_comb(u, v) + graph_ctx.mult_comb(v, u)
             assert total.is_zero, (u, v)
 
     def test_jacobi(self, abc, graph_ctx):
@@ -193,9 +193,9 @@ class TestIdentities:
         for u, v, w in itertools.product(words, repeat=3):
             if u.deg + v.deg + w.deg > 7:
                 continue
-            total = graph_ctx.mult_comb(pc_mult(graph_ctx, u, v), w)
-            total += graph_ctx.mult_comb(pc_mult(graph_ctx, v, w), u)
-            total += graph_ctx.mult_comb(pc_mult(graph_ctx, w, u), v)
+            total = graph_ctx.mult_comb(graph_ctx.mult_comb(u, v), w)
+            total += graph_ctx.mult_comb(graph_ctx.mult_comb(v, w), u)
+            total += graph_ctx.mult_comb(graph_ctx.mult_comb(w, u), v)
             assert total.is_zero, (u, v, w)
 
     def test_closure(self, abc, graph_ctx):
@@ -203,7 +203,7 @@ class TestIdentities:
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
-            for w in pc_mult(graph_ctx, u, v):
+            for w in graph_ctx.mult_comb(u, v):
                 assert graph_ctx.is_basis_word(w)
                 assert w.deg == u.deg + v.deg
 
