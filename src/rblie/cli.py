@@ -42,7 +42,7 @@ def _add_context_flags(sub):
     sub.add_argument("--weight", type=int, choices=(0, 1), default=None,
                      help="operator weight (free-rb only; default 0)")
     sub.add_argument("--fuel", type=int, default=None,
-                     help="rewrite-step budget per product")
+                     help="rewrite-step budget for each operand and for the product")
 
 
 def _build_context(args):

@@ -51,8 +51,6 @@ class EnvContext(FreeRBContext):
         super().__init__(algebra.alphabet, weight=weight, fuel_limit=fuel_limit)
         self.algebra = algebra
         self.kind = algebra.kind
-        if self.weight:
-            self._node_ok = _has_r
 
     def _lift(self, entry):
         out = LinComb()
@@ -72,18 +70,18 @@ class EnvContext(FreeRBContext):
             return self._lift(self.algebra.bracket.get((u.name, v.name)))
         return None
 
-    def interior_r_ok(self, argword):
-        return not isinstance(argword, Gen)
+    def bracket_ok(self, p, q):
+        # R-letters of bracket words wrap non-generators, and for weight 1
+        # every bracket node holds an R (see the module docstring)
+        if _r_of_gen(p) or _r_of_gen(q):
+            return False
+        if self.weight and not (p.degr or q.degr):
+            return False
+        return super().bracket_ok(p, q)
 
-    def _atom_ok(self, a):
-        if isinstance(a, Gen):
-            return a.name in self.alphabet
-        return (isinstance(a, RApp) and not isinstance(a.arg, Gen)
-                and self.is_basis_word(a.arg))
 
-
-def _has_r(node):
-    return node.degr > 0
+def _r_of_gen(w):
+    return isinstance(w, RApp) and isinstance(w.arg, Gen)
 
 
 def embed(ctx, x):

@@ -19,9 +19,8 @@ arguments (see `terms`).
 from __future__ import annotations
 
 from .lincomb import LinComb
-from .lyndon import ls_shape_ok
 from .straighten import BasisContext, enumerate_basis
-from .terms import Gen, RApp
+from .terms import RApp
 
 __all__ = ["FreeRBContext", "enum_free_basis"]
 
@@ -29,8 +28,6 @@ __all__ = ["FreeRBContext", "enum_free_basis"]
 class FreeRBContext(BasisContext):
 
     supports_operator = True
-    # extra condition on every bracket node of a basis word; None for none
-    _node_ok = None
 
     def __init__(self, alphabet, weight=0, fuel_limit=None):
         if weight not in (0, 1):
@@ -52,18 +49,6 @@ class FreeRBContext(BasisContext):
                 inner.iadd_comb(self._mult(u.arg, v.arg, fuel))
             return self.apply_r(inner)
         return None
-
-    def _atom_ok(self, a):
-        if isinstance(a, Gen):
-            return a.name in self.alphabet
-        return self.is_basis_word(a.arg)
-
-    def _basis_check(self, w):
-        if isinstance(w, Gen):
-            return w.name in self.alphabet
-        if isinstance(w, RApp):
-            return self.is_basis_word(w.arg)
-        return ls_shape_ok(w, self.adjacent, self._atom_ok, self._node_ok)
 
 
 def enum_free_basis(alphabet, max_deg, max_rdeg):

@@ -12,11 +12,13 @@ The unique bracketing is produced by splitting off the longest proper
 suffix that is itself associative Lyndon-Shirshov; tests validate this
 against exhaustive search over all bracketings.
 
-`ls_shape_ok` is the shared hierarchical checker: the conditions above,
-optionally refined per node by a commutation constraint (used for
-partially commutative bases: the first letter of the right half must be
-non-adjacent to at least one letter of the left half) and by extra
-letter/node predicates supplied by a calling context.
+`ls_shape_ok` is the reference checker: the conditions above, checked
+at every node including the rotation test on each flattening, optionally
+refined per node by a commutation constraint (the first letter of the
+right half must be non-adjacent to at least one letter of the left half)
+and by letter/node predicates.  The basis contexts do not call it: their
+one membership rule (`straighten.BasisContext.is_basis_word`) checks only
+the root of a bracket of basis words, and tests compare the two.
 """
 
 from __future__ import annotations

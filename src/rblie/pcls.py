@@ -15,7 +15,6 @@ rule: the bracket of two adjacent generators is zero.
 from __future__ import annotations
 
 from .lincomb import LinComb
-from .lyndon import ls_shape_ok
 from .straighten import BasisContext, enumerate_basis
 from .terms import Gen
 
@@ -103,6 +102,9 @@ class PCLSContext(BasisContext):
         for v in self.graph.vertices:
             if v not in alphabet:
                 raise ValueError("graph vertex %r not in alphabet" % (v,))
+        for name in alphabet.names:
+            if name not in self.graph.vertices:
+                raise ValueError("letter %r not in the graph's vertex set" % (name,))
 
     def adjacent(self, a, b):
         return (
@@ -115,16 +117,6 @@ class PCLSContext(BasisContext):
         if self.adjacent(u, v):
             return LinComb()
         return None
-
-    def _atom_ok(self, a):
-        if not isinstance(a, Gen):
-            return False
-        if a.name not in self.graph.vertices:
-            raise ValueError("letter not in vertex set: %r" % a.name)
-        return a.name in self.alphabet
-
-    def _basis_check(self, w):
-        return ls_shape_ok(w, adjacent=self.adjacent, atom_ok=self._atom_ok)
 
 
 class LSContext(PCLSContext):

@@ -38,12 +38,3 @@ class XorShift64:
         if not seq:
             raise ValueError("choice from empty sequence")
         return seq[self.randrange(len(seq))]
-
-    def sample_pairs(self, seq, count):
-        return [(self.choice(seq), self.choice(seq)) for _ in range(count)]
-
-    def sample_triples(self, seq, count):
-        return [
-            (self.choice(seq), self.choice(seq), self.choice(seq))
-            for _ in range(count)
-        ]

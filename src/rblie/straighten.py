@@ -9,7 +9,9 @@ rule:
   3. a context letter rule may resolve a product of two letters directly
      (operator composition, a structure-constant table, a vanishing
      bracket of adjacent letters);
-  4. if [u,v] is a basis word, that is the answer;
+  4. if the root check `bracket_ok(u, v)` passes, [u,v] is a basis word
+     and is the answer (both halves are basis words already, so only the
+     root is checked);
   5. if u = [u1,u2] is a bracket, rewrite by the Jacobi identity:
      u*v = (u1*v)*u2 + u1*(u2*v);
   6. otherwise u is a letter and v = [v1,v2]; rewrite by the derivation
@@ -19,14 +21,26 @@ Rules 5 and 6 are identities in any Lie algebra, rule 3 encodes the
 defining relations of the target, so the loop computes coordinates in
 the basis selected by the context's membership test.
 
-Termination is guarded by fuel.  Each call of `mult` or `mult_comb` gets
-one budget of `fuel_limit` rewriting steps (default one million), and
-`mult_comb` spends that single budget on the whole bilinear expansion of
-its operands, not one budget per pair of words; `evaluate` makes one
-such call, with its own budget, per bracket node.  Only products computed
-afresh cost a step; memo hits are free, so whether a product runs out of
-fuel depends on how much of its expansion the memo already holds.  A
-product whose expansion needs itself raises a cyclic FuelError.
+The basis is given by one recursive rule, `BasisContext.is_basis_word`:
+a generator of the alphabet is a basis word; R(w) is one when the
+context has an operator and w is one; [p,q] is one when p and q are and
+the root check `bracket_ok(p, q)` passes.  The default check is the
+Lyndon-Shirshov bracketing condition (the flattening of p is greater
+than that of q, q is at least the right half of p when p is a bracket)
+plus the partial-commutation condition (some letter of p is not
+`adjacent` to the first letter of q).  Concatenating LS words p > q
+gives an LS word, so the flattening of every basis word is LS without a
+separate rotation test.  Membership, rule 4 and `enumerate_basis` all
+use this one rule.
+
+Termination is guarded by fuel.  Each call of `mult`, `mult_comb` or
+`evaluate` gets one budget of `fuel_limit` rewriting steps (default one
+million) and spends it on all the products the call makes: the whole
+bilinear expansion of `mult_comb`'s operands, and every bracket node of
+the expression `evaluate` is given.  Only products computed afresh cost
+a step; memo hits are free, so whether a call runs out of fuel depends
+on how much of its work the memo already holds.  A product whose
+expansion needs itself raises a cyclic FuelError.
 
 Results are memoized per context; entries are pure values, so threads
 may share one context: duplicate writes are idempotent, and the
@@ -38,8 +52,7 @@ for a cycle.
 from __future__ import annotations
 
 from .lincomb import LinComb
-from .lyndon import is_assoc_ls, standard_bracketing
-from .terms import Br, Gen, RApp, Word, sort_words_descending, total_cmp
+from .terms import Br, Gen, RApp, Word, atoms, compare_words, sort_words_descending, total_cmp
 
 __all__ = ["FuelError", "BasisContext", "enumerate_basis"]
 
@@ -66,10 +79,10 @@ class _Fuel:
 
 
 class BasisContext:
-    """A basis to compute in: membership test, letter rules, one memo table.
+    """A basis to compute in: membership rule, letter rules, one memo table.
 
-    Subclasses set `supports_operator`, override `_basis_check`, and may
-    override `letter_rule` / `adjacent`.  `corrupt_sign` is a test-only
+    Subclasses set `supports_operator` and may override the hooks
+    `adjacent`, `letter_rule` and `bracket_ok`.  `corrupt_sign` is a test-only
     switch that flips one sign in rule 5 so harness failure paths can be
     exercised; set it before the first product (the memo is not
     invalidated) and never in real use.
@@ -89,12 +102,15 @@ class BasisContext:
     def is_basis_word(self, w):
         cached = self._basis_cache.get(w)
         if cached is None:
-            cached = self._basis_check(w)
+            if isinstance(w, Gen):
+                cached = w.name in self.alphabet
+            elif isinstance(w, RApp):
+                cached = self.supports_operator and self.is_basis_word(w.arg)
+            else:
+                cached = (self.is_basis_word(w.left) and self.is_basis_word(w.right)
+                          and self.bracket_ok(w.left, w.right))
             self._basis_cache[w] = cached
         return cached
-
-    def _basis_check(self, w):
-        raise NotImplementedError
 
     # -- hooks -------------------------------------------------------------
 
@@ -106,26 +122,30 @@ class BasisContext:
         """Resolve a letter-letter product directly, or return None."""
         return None
 
-    def interior_r_ok(self, argword):
-        """May R(argword) occur as a letter inside a longer basis word?"""
-        return True
+    def bracket_ok(self, p, q):
+        """Is [p,q] a basis word, given that p and q are?"""
+        fp = atoms(p)
+        fq = atoms(q)
+        if compare_words(fp, fq) <= 0:
+            return False
+        if isinstance(p, Br) and compare_words(fq, atoms(p.right)) < 0:
+            return False
+        head = fq[0]
+        return not all(self.adjacent(x, head) for x in fp)
 
     # -- products ----------------------------------------------------------
 
     def mult(self, u, v):
-        """Product of two basis words as a combination over the basis."""
+        """Product of two basis words as a combination over the basis.
+
+        The operands are not checked: rule 4 takes them for basis words.
+        """
         return self._mult(u, v, _Fuel(self.fuel_limit))
 
     def mult_comb(self, x, y):
-        """Bilinear product of combinations (words accepted as singletons)."""
-        x = self.as_comb(x)
-        y = self.as_comb(y)
-        fuel = _Fuel(self.fuel_limit)
-        out = LinComb()
-        for wu, cu in x.items():
-            for wv, cv in y.items():
-                out.iadd_comb(self._mult(wu, wv, fuel), cu * cv)
-        return out
+        """Bilinear product of combinations of basis words (words accepted
+        as singletons); like `mult`, it does not check its operands."""
+        return self._mult_comb(self.as_comb(x), self.as_comb(y), _Fuel(self.fuel_limit))
 
     def as_comb(self, x):
         if isinstance(x, LinComb):
@@ -149,22 +169,32 @@ class BasisContext:
 
         Brackets become products, operator nodes become the operator; the
         result is the canonical combination of basis words.  Basis words
-        evaluate to themselves.
+        evaluate to themselves.  One fuel budget covers the whole of x.
         """
+        return self._evaluate(x, _Fuel(self.fuel_limit))
+
+    def _evaluate(self, x, fuel):
         if isinstance(x, LinComb):
             out = LinComb()
             for w, c in x.items():
-                out.iadd_comb(self.evaluate(w), c)
+                out.iadd_comb(self._evaluate(w, fuel), c)
             return out
         if isinstance(x, Gen):
             if x.name not in self.alphabet:
                 raise ValueError("generator %r not in this context" % x.name)
             return LinComb.single(x)
         if isinstance(x, RApp):
-            return self.apply_r(self.evaluate(x.arg))
-        return self.mult_comb(self.evaluate(x.left), self.evaluate(x.right))
+            return self.apply_r(self._evaluate(x.arg, fuel))
+        return self._mult_comb(self._evaluate(x.left, fuel), self._evaluate(x.right, fuel), fuel)
 
     # -- engine ------------------------------------------------------------
+
+    def _mult_comb(self, x, y, fuel):
+        out = LinComb()
+        for wu, cu in x.items():
+            for wv, cv in y.items():
+                out.iadd_comb(self._mult(wu, wv, fuel), cu * cv)
+        return out
 
     def _mult(self, u, v, fuel):
         key = (u, v)
@@ -192,9 +222,8 @@ class BasisContext:
             direct = self.letter_rule(u, v, fuel)
             if direct is not None:
                 return direct
-        b = Br(u, v)
-        if self.is_basis_word(b):
-            return LinComb.single(b)
+        if self.bracket_ok(u, v):
+            return LinComb.single(Br(u, v))
         if isinstance(u, Br):
             first = self._comb_times_word(self._mult(u.left, v, fuel), u.right, fuel)
             second = self._word_times_comb(u.left, self._mult(u.right, v, fuel), fuel)
@@ -227,57 +256,22 @@ def enumerate_basis(ctx, max_deg, max_rdeg=0):
 
     The bound is on generator occurrences (xdeg), counted inside operator
     arguments too; bounding the letter count alone would leave infinitely
-    many one-letter words R(z).  Returned greatest first.
+    many one-letter words R(z).  Words are built by bidegree from smaller
+    basis words, keeping the brackets that pass `ctx.bracket_ok`.
+    Returned greatest first.
     """
-    if max_deg < 1:
-        return []
-    found = set()
-    for g in ctx.alphabet.gens():
-        if ctx.is_basis_word(g):
-            found.add(g)
-    while True:
-        before = len(found)
-        if ctx.supports_operator and max_rdeg > 0:
-            for w in list(found):
-                if w.degr + 1 <= max_rdeg:
-                    rw = RApp(w)
-                    if rw not in found and ctx.is_basis_word(rw):
-                        found.add(rw)
-        letters = [g for g in ctx.alphabet.gens()]
-        if ctx.supports_operator and max_rdeg > 0:
-            for w in sort_words_descending(found):
-                if w.degr + 1 <= max_rdeg and ctx.interior_r_ok(w):
-                    letters.append(RApp(w))
-        letters = sort_words_descending(letters)
-        for seq in _ls_sequences(letters, max_deg, max_rdeg):
-            word = standard_bracketing(seq)
-            if word not in found and ctx.is_basis_word(word):
-                found.add(word)
-        if len(found) == before:
-            break
-    return sort_words_descending(found)
-
-
-def _ls_sequences(letters, max_x, max_r):
-    """Associative LS letter sequences of length >= 2 within the budgets.
-
-    Letters must be sorted descending.  The first letter of an associative
-    LS word is its greatest letter, which prunes the search.
-    """
-    for i, first in enumerate(letters):
-        if first.xdeg >= max_x:
-            continue
-        allowed = letters[i:]
-        yield from _extend((first,), first.xdeg, first.degr, allowed, max_x, max_r)
-
-
-def _extend(seq, used_x, used_r, allowed, max_x, max_r):
-    for letter in allowed:
-        nx = used_x + letter.xdeg
-        nr = used_r + letter.degr
-        if nx > max_x or nr > max_r:
-            continue
-        longer = seq + (letter,)
-        if is_assoc_ls(longer):
-            yield longer
-        yield from _extend(longer, nx, nr, allowed, max_x, max_r)
+    if not ctx.supports_operator:
+        max_rdeg = min(max_rdeg, 0)
+    table = {}
+    for n in range(1, max_deg + 1):
+        for r in range(max_rdeg + 1):
+            level = list(ctx.alphabet.gens()) if (n, r) == (1, 0) else []
+            if r:
+                level.extend(RApp(w) for w in table[(n, r - 1)])
+            for i in range(1, n):
+                for s in range(r + 1):
+                    rights = table[(n - i, r - s)]
+                    for p in table[(i, s)]:
+                        level.extend(Br(p, q) for q in rights if ctx.bracket_ok(p, q))
+            table[(n, r)] = level
+    return sort_words_descending(w for level in table.values() for w in level)

@@ -1,0 +1,110 @@
+"""The one basis rule against the hierarchical reference checker.
+
+`BasisContext.is_basis_word` checks a bracket of two basis words at its
+root only, and `enumerate_basis` builds words from smaller basis words
+with the same root check.  Here both are compared, on every operator
+word within small bounds, with `lyndon.ls_shape_ok` driven by the
+letter, node and adjacency predicates that each context kind used to
+pass it: a rotation test and a full re-check at every node.
+"""
+
+import glob
+import os
+
+import pytest
+
+from rblie.algebras import abelianize, load_algebra
+from rblie.enveloping import EnvContext
+from rblie.free_rb import FreeRBContext
+from rblie.lyndon import ls_shape_ok
+from rblie.pcls import CommGraph, LSContext, PCLSContext
+from rblie.straighten import enumerate_basis
+from rblie.terms import Alphabet, Gen, RApp
+from rblie.verify import all_operator_words
+
+ABC = Alphabet(("a", "b", "c"))
+AB = Alphabet(("a", "b"))
+TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos", "algebras")
+# (max_deg, max_rdeg) by the size of a table's basis: a few thousand words each
+ENV_BOUNDS = {1: (4, 3), 2: (4, 2), 3: (3, 2)}
+
+
+def _pcls_reference(alphabet, edges):
+    edges = {frozenset(e) for e in edges}
+
+    def adjacent(x, y):
+        return isinstance(x, Gen) and isinstance(y, Gen) and frozenset((x.name, y.name)) in edges
+
+    def letter_ok(a):
+        return isinstance(a, Gen) and a.name in alphabet
+
+    return lambda w: ls_shape_ok(w, adjacent, letter_ok)
+
+
+def _operator_reference(alphabet, env_weight=None):
+    """Free-rb membership, or enveloping membership when env_weight is set."""
+
+    def adjacent(x, y):
+        return isinstance(x, RApp) and isinstance(y, RApp) and x != y
+
+    def letter_ok(a):
+        if isinstance(a, Gen):
+            return a.name in alphabet
+        if env_weight is not None and isinstance(a.arg, Gen):
+            return False
+        return member(a.arg)
+
+    node_ok = (lambda node: node.degr > 0) if env_weight == 1 else None
+
+    def member(w):
+        if isinstance(w, Gen):
+            return w.name in alphabet
+        if isinstance(w, RApp):
+            return member(w.arg)
+        return ls_shape_ok(w, adjacent, letter_ok, node_ok)
+
+    return member
+
+
+def _cases():
+    path = [("a", "b"), ("b", "c")]
+    edge = [("a", "b")]
+    complete = [("a", "b"), ("a", "c"), ("b", "c")]
+    cases = [
+        ("ls", lambda: LSContext(ABC), _pcls_reference(ABC, []), 6, 0),
+        ("pcls-path", lambda: PCLSContext(ABC, CommGraph(ABC.names, path)),
+         _pcls_reference(ABC, path), 6, 0),
+        ("pcls-edge", lambda: PCLSContext(ABC, CommGraph(ABC.names, edge)),
+         _pcls_reference(ABC, edge), 6, 0),
+        ("pcls-complete", lambda: PCLSContext(ABC, CommGraph(ABC.names, complete)),
+         _pcls_reference(ABC, complete), 6, 0),
+    ]
+    for weight in (0, 1):
+        cases.append(("free-rb-w%d" % weight, lambda w=weight: FreeRBContext(AB, weight=w),
+                      _operator_reference(AB), 4, 3))
+    for file in sorted(glob.glob(os.path.join(TABLES, "*.alg"))):
+        table = load_algebra(file)
+        weight = 0 if table.kind == "pre" else 1
+        name = os.path.basename(file)
+        for label, algebra in ((name, table), (name + "-abelian", abelianize(table))):
+            al = algebra.alphabet
+            max_deg, max_rdeg = ENV_BOUNDS[len(al)]
+            cases.append((label, lambda a=algebra: EnvContext(a),
+                          _operator_reference(al, env_weight=weight), max_deg, max_rdeg))
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("label,make,reference,max_deg,max_rdeg", CASES,
+                         ids=[c[0] for c in CASES])
+def test_membership_and_enumeration_match_the_reference(label, make, reference,
+                                                        max_deg, max_rdeg):
+    ctx = make()
+    words = all_operator_words(ctx.alphabet, max_deg, max_rdeg)
+    expected = {w for w in words if reference(w)}
+    assert expected
+    for w in words:
+        assert ctx.is_basis_word(w) == (w in expected), w
+    assert set(enumerate_basis(make(), max_deg, max_rdeg)) == expected

@@ -226,6 +226,13 @@ class TestFuel:
         assert code == 3
         assert "fuel" in err
 
+    def test_reduce_spends_one_budget_on_the_whole_expression(self, capsys):
+        # each bracket node alone fits in 3 steps; all of them together do not
+        code, out, err = run(capsys, "reduce", "--kind", "free-rb", "--alphabet", "a,b",
+                             "--fuel", "3", "[R(a),[R(a),b]] + [R(b),[R(a),b]]")
+        assert code == 3
+        assert "fuel" in err
+
     def test_nonpositive_fuel_rejected(self, capsys):
         code, out, err = run(capsys, "mul", "--kind", "free-rb",
                              "--alphabet", "a,b", "--fuel", "0", "a", "b")

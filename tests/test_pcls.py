@@ -108,6 +108,11 @@ class TestMembership:
         assert not ctx.is_basis_word(parse_word("[b,a]", abc))
         assert not ctx.is_basis_word(parse_word("[c,[a,b]]", abc))
 
+    def test_graph_missing_a_letter_is_refused(self, abc):
+        # refused when the context is made, not at the first test of c
+        with pytest.raises(ValueError, match="'c' not in the graph's vertex set"):
+            PCLSContext(abc, CommGraph(("a", "b")))
+
 
 class TestEnumeration:
     def test_single_edge_degree_two(self, abc, edge_ab):
