@@ -10,11 +10,14 @@ kind tag, and sparse tables:
       x.[y,z] = [x.y, z] + [y, x.z];
   * kind "lie":  a Lie bracket alone.
 
-Validators check the defining laws exhaustively over basis triples and
-report every violating triple.  The `*_residue` helpers evaluate one law
-on one tuple of elements for any product passed in (and, for
-`rb_residue`, an operator and its weight); the validators here and the
-context checks in `verify` share them.
+Validators check the defining laws exhaustively over basis pairs and
+triples and report every violating tuple.  The `*_residue` helpers
+evaluate one law on one tuple of elements for any product passed in
+(and, for `rb_residue`, an operator and its weight); the validators here
+and the context checks in `verify` share them.  `Report.over` is the one
+loop that builds a case-by-case report: the validators here and the
+checks in `verify` hand it their cases and a function from one case to
+its witness texts.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "Report", "StructureAlgebra", "check_lie", "check_pre_lie", "check_post_lie",
     "abelianize", "derivation_prelie_example",
     "pre_lie_residue", "jacobi_residue", "post_lie_residues", "rb_residue",
-    "pre_lie_violations", "post_lie_violations", "jacobi_violations",
     "parse_algebra_text", "load_algebra", "format_algebra",
 ]
 
@@ -54,6 +56,16 @@ class Report:
         if self.passed:
             return "PASS %s checked=%d" % (self.name, self.checked)
         return "FAIL %s checked=%d witness=%s" % (self.name, self.checked, self.violations[0])
+
+    @classmethod
+    def over(cls, name, cases, violations):
+        """The one report loop: each case counts once and adds the witness
+        texts `violations(*case)` returns, none when the case passes."""
+        report = cls(name)
+        for case in cases:
+            report.checked += 1
+            report.violations.extend(violations(*case))
+        return report
 
     def merge(self, other):
         self.checked += other.checked
@@ -94,9 +106,6 @@ class StructureAlgebra:
     def dim(self):
         return len(self.names)
 
-    def basis_vectors(self):
-        return [LinComb.single(n) for n in self.names]
-
     def _table_comb(self, table, x, y):
         out = LinComb()
         for a, ca in x.items():
@@ -129,10 +138,10 @@ class StructureAlgebra:
         )
 
 
-def _fmt(comb, order=None):
+def _fmt(comb, order):
     if not comb:
         return "0"
-    keys = sorted(comb, key=lambda k: order.index(k) if order else k)
+    keys = sorted(comb, key=order.index)
     parts = []
     for k in keys:
         c = comb[k]
@@ -142,10 +151,6 @@ def _fmt(comb, order=None):
         else:
             parts.append("%s %s" % ("+" if c > 0 else "-", mag))
     return " ".join(parts)
-
-
-def _witness(label, elems, diff, order=None):
-    return "%s=(%s) residue=%s" % (label, ",".join(str(e) for e in elems), _fmt(diff, order))
 
 
 def pre_lie_residue(dot, x, y, z):
@@ -182,91 +187,46 @@ def rb_residue(mult, operator, weight, x, y):
     return mult(rx, ry) - operator(inner)
 
 
-def pre_lie_violations(dot, elems, order=None):
-    """Violating triples of the left pre-Lie law among the given elements."""
-    report = Report("pre-lie identity")
-    for x, y, z in iproduct(elems, repeat=3):
-        diff = pre_lie_residue(dot, x, y, z)
-        report.checked += 1
-        if diff:
-            report.violations.append(_witness("triple", (x, y, z), diff, order))
-    return report
+def _table_law(algebra, law, arity, residues):
+    """Report `law` over every `arity`-tuple of basis names.
 
+    `residues(*vectors)` gives (label, residue) pairs for one tuple; each
+    nonzero residue is a witness "label=(names) residue=...".
+    """
+    vecs = {n: LinComb.single(n) for n in algebra.names}
 
-def jacobi_violations(bracket, elems, name="jacobi", order=None):
-    report = Report(name)
-    for x, y, z in iproduct(elems, repeat=3):
-        s = jacobi_residue(bracket, x, y, z)
-        report.checked += 1
-        if s:
-            report.violations.append(_witness("triple", (x, y, z), s, order))
-    return report
+    def violations(*names):
+        return ["%s=(%s) residue=%s" % (label, ",".join(names), _fmt(r, algebra.names))
+                for label, r in residues(*(vecs[n] for n in names)) if r]
 
-
-def _antisym_violations(bracket, elems, order=None):
-    report = Report("antisymmetry")
-    for x, y in iproduct(elems, repeat=2):
-        s = bracket(x, y) + bracket(y, x)
-        report.checked += 1
-        if s:
-            report.violations.append(_witness("pair", (x, y), s, order))
-    return report
-
-
-def post_lie_violations(dot, bracket, elems, order=None):
-    """Violations of the two post-Lie laws tying the product to the bracket."""
-    report = Report("post-lie identities")
-    for x, y, z in iproduct(elems, repeat=3):
-        diff1, diff2 = post_lie_residues(dot, bracket, x, y, z)
-        report.checked += 1
-        if diff1:
-            report.violations.append(_witness("product-law triple", (x, y, z), diff1, order))
-        if diff2:
-            report.violations.append(_witness("bracket-law triple", (x, y, z), diff2, order))
-    return report
+    name = "%s(%s)" % (law, ",".join(algebra.names))
+    return Report.over(name, iproduct(algebra.names, repeat=arity), violations)
 
 
 def check_pre_lie(algebra):
-    vecs = algebra.basis_vectors()
-    report = pre_lie_violations(algebra.dot_comb, _named(vecs), order=algebra.names)
-    report.name = "pre-lie(%s)" % ",".join(algebra.names)
-    return report
+    dot = algebra.dot_comb
+    return _table_law(algebra, "pre-lie", 3,
+                      lambda x, y, z: [("triple", pre_lie_residue(dot, x, y, z))])
+
+
+def _lie_laws(algebra, law):
+    """Antisymmetry on pairs, then Jacobi on triples, of the bracket table."""
+    br = algebra.bracket_comb
+    report = _table_law(algebra, law, 2, lambda x, y: [("pair", br(x, y) + br(y, x))])
+    return report.merge(_table_law(algebra, law, 3,
+                                   lambda x, y, z: [("triple", jacobi_residue(br, x, y, z))]))
 
 
 def check_lie(algebra):
-    vecs = _named(algebra.basis_vectors())
-    report = _antisym_violations(algebra.bracket_comb, vecs, order=algebra.names)
-    report.merge(jacobi_violations(algebra.bracket_comb, vecs, order=algebra.names))
-    report.name = "lie(%s)" % ",".join(algebra.names)
-    return report
+    return _lie_laws(algebra, "lie")
 
 
 def check_post_lie(algebra):
-    vecs = _named(algebra.basis_vectors())
-    report = _antisym_violations(algebra.bracket_comb, vecs, order=algebra.names)
-    report.merge(jacobi_violations(algebra.bracket_comb, vecs, order=algebra.names))
-    report.merge(post_lie_violations(algebra.dot_comb, algebra.bracket_comb, vecs,
-                                     order=algebra.names))
-    report.name = "post-lie(%s)" % ",".join(algebra.names)
-    return report
-
-
-class _NamedComb(LinComb):
-    """A combination that prints as its defining basis name (witness texts)."""
-
-    __slots__ = ("label",)
-
-    def __str__(self):
-        return self.label
-
-
-def _named(vecs):
-    out = []
-    for v in vecs:
-        nv = _NamedComb(v)
-        nv.label = next(iter(v))
-        out.append(nv)
-    return out
+    dot, br = algebra.dot_comb, algebra.bracket_comb
+    labels = ("product-law triple", "bracket-law triple")
+    return _lie_laws(algebra, "post-lie").merge(_table_law(
+        algebra, "post-lie", 3,
+        lambda x, y, z: zip(labels, post_lie_residues(dot, br, x, y, z))))
 
 
 def abelianize(algebra):

@@ -96,7 +96,13 @@ def _check_rdeg(ctx, max_rdeg):
         raise UsageError("--max-rdeg applies to operator kinds only")
 
 
+def _check_bounds(args):
+    if args.max_deg < 0 or args.max_rdeg < 0:
+        raise UsageError("--max-deg and --max-rdeg must not be negative")
+
+
 def cmd_basis(args):
+    _check_bounds(args)
     ctx = _build_context(args)
     _check_rdeg(ctx, args.max_rdeg)
     words = enumerate_basis(ctx, args.max_deg, args.max_rdeg)
@@ -135,6 +141,9 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
+    _check_bounds(args)
+    if args.samples < 1:
+        raise UsageError("--samples must be positive")
     ctx = None
     if args.property != "enum-oracles":
         ctx = _build_context(args)

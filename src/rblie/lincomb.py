@@ -1,8 +1,8 @@
 """Sparse linear combinations with exact rational coefficients.
 
 LinComb maps hashable keys (Words, or basis names of a finite-dimensional
-algebra) to nonzero Fractions; a key whose coefficient becomes zero is
-removed, so equality of combinations is plain dict equality.
+algebra) to nonzero ints or Fractions; a key whose coefficient becomes zero
+is removed, so equality of combinations is plain dict equality.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class LinComb(dict):
     __rmul__ = __mul__
 
     def scaled(self, factor):
-        factor = Fraction(factor)
+        if not isinstance(factor, (int, Fraction)):
+            factor = Fraction(factor)
         out = LinComb()
         if factor:
             for key, coeff in self.items():

@@ -103,7 +103,7 @@ class BasisContext:
         cached = self._basis_cache.get(w)
         if cached is None:
             if isinstance(w, Gen):
-                cached = w.name in self.alphabet
+                cached = w in self.alphabet
             elif isinstance(w, RApp):
                 cached = self.supports_operator and self.is_basis_word(w.arg)
             else:
@@ -180,7 +180,7 @@ class BasisContext:
                 out.iadd_comb(self._evaluate(w, fuel), c)
             return out
         if isinstance(x, Gen):
-            if x.name not in self.alphabet:
+            if x not in self.alphabet:
                 raise ValueError("generator %r not in this context" % x.name)
             return LinComb.single(x)
         if isinstance(x, RApp):

@@ -31,7 +31,6 @@ from .algebras import (
 )
 from .expr import format_word
 from .free_rb import FreeRBContext
-from .lincomb import LinComb
 from .rng import XorShift64
 from .straighten import enumerate_basis
 from .terms import Br, RApp, atoms, compare_words
@@ -62,36 +61,22 @@ def _wit(words):
     return "(%s)" % " | ".join(format_word(w) for w in words)
 
 
+def _law(name, cases, residue):
+    """Report `name` over `cases`, one `_wit` witness per nonzero residue."""
+    return Report.over(name, cases, lambda *case: [_wit(case)] if residue(*case) else [])
+
+
 def check_anticomm(ctx, pairs):
-    report = Report("anticomm")
-    for u, v in pairs:
-        residue = ctx.mult(u, v) + ctx.mult(v, u)
-        report.checked += 1
-        if residue:
-            report.violations.append(_wit((u, v)))
-    return report
+    return _law("anticomm", pairs, lambda u, v: ctx.mult(u, v) + ctx.mult(v, u))
 
 
 def check_jacobi(ctx, triples):
-    report = Report("jacobi")
-    for u, v, w in triples:
-        x, y, z = (LinComb.single(t) for t in (u, v, w))
-        residue = jacobi_residue(ctx.mult_comb, x, y, z)
-        report.checked += 1
-        if residue:
-            report.violations.append(_wit((u, v, w)))
-    return report
+    return _law("jacobi", triples, lambda u, v, w: jacobi_residue(ctx.mult_comb, u, v, w))
 
 
 def check_rb_property(ctx, pairs):
-    report = Report("rb weight %d" % ctx.weight)
-    for u, v in pairs:
-        x, y = LinComb.single(u), LinComb.single(v)
-        residue = rb_residue(ctx.mult_comb, ctx.apply_r, ctx.weight, x, y)
-        report.checked += 1
-        if residue:
-            report.violations.append(_wit((u, v)))
-    return report
+    return _law("rb weight %d" % ctx.weight, pairs,
+                lambda u, v: rb_residue(ctx.mult_comb, ctx.apply_r, ctx.weight, u, v))
 
 
 def check_derived(ctx, triples):
@@ -101,48 +86,34 @@ def check_derived(ctx, triples):
     def dot(a, b):
         return m(ctx.apply_r(a), b)
 
-    post = bool(ctx.weight)
-    report = Report("derived-post" if post else "derived-pre")
-    for u, v, w in triples:
-        x, y, z = (LinComb.single(t) for t in (u, v, w))
-        if post:
-            d1, d2 = post_lie_residues(dot, m, x, y, z)
-            bad = bool(d1) or bool(d2)
-        else:
-            bad = bool(pre_lie_residue(dot, x, y, z))
-        report.checked += 1
-        if bad:
-            report.violations.append(_wit((u, v, w)))
-    return report
+    if ctx.weight:
+        return _law("derived-post", triples,
+                    lambda u, v, w: any(post_lie_residues(dot, m, u, v, w)))
+    return _law("derived-pre", triples, lambda u, v, w: pre_lie_residue(dot, u, v, w))
 
 
 def check_graded_shape(ctx, pairs):
     """Outputs of u*v stay within (deg u + deg v, rdeg u + rdeg v); the part
     at full letter degree permutes exactly the letters of u and v, and each
     such word is a bracket whose right factor is >= the smaller operand."""
-    report = Report("assump")
-    for u, v in pairs:
-        out = ctx.mult(u, v)
+    def violations(u, v):
         dtop = u.deg + v.deg
         rtop = u.degr + v.degr
         expected = Counter(atoms(u)) + Counter(atoms(v))
         smaller = u if compare_words(u, v) < 0 else v
-        bad = None
-        for w in out:
+        for w in ctx.mult(u, v):
             if w.deg > dtop or w.degr > rtop:
-                bad = "overflow %s" % format_word(w)
-                break
-            if w.deg == dtop:
-                if Counter(atoms(w)) != expected:
-                    bad = "letters %s" % format_word(w)
-                    break
-                if not isinstance(w, Br) or compare_words(w.right, smaller) < 0:
-                    bad = "leading shape %s" % format_word(w)
-                    break
-        report.checked += 1
-        if bad:
-            report.violations.append("%s %s" % (_wit((u, v)), bad))
-    return report
+                fault = "overflow"
+            elif w.deg == dtop and Counter(atoms(w)) != expected:
+                fault = "letters"
+            elif w.deg == dtop and (not isinstance(w, Br) or compare_words(w.right, smaller) < 0):
+                fault = "leading shape"
+            else:
+                continue
+            return ["%s %s %s" % (_wit((u, v)), fault, format_word(w))]
+        return []
+
+    return Report.over("assump", pairs, violations)
 
 
 def check_pbw(ctx, max_deg, max_rdeg):
@@ -167,20 +138,20 @@ def check_reduce_hom(ctx, max_deg, max_rdeg, seed, count):
     """evaluate(u*v) == evaluate(u) * evaluate(v) across the free-to-
     enveloping reduction, with every output inside the enveloping basis."""
     free = FreeRBContext(ctx.alphabet, weight=ctx.weight)
-    pairs = sample_basis(free, max_deg, max_rdeg, seed, count, 2)
-    report = Report("reduce-hom")
-    for u, v in pairs:
+
+    def violations(u, v):
         lhs = ctx.evaluate(free.mult(u, v))
-        rhs = ctx.mult_comb(ctx.evaluate(u), ctx.evaluate(v))
-        report.checked += 1
-        if lhs - rhs:
-            report.violations.append(_wit((u, v)))
-        else:
-            stray = [w for w in lhs if not ctx.is_basis_word(w)]
-            if stray:
-                report.violations.append(
-                    "%s escapes basis via %s" % (_wit((u, v)), format_word(stray[0])))
-    return report
+        if lhs - ctx.mult_comb(ctx.evaluate(u), ctx.evaluate(v)):
+            return [_wit((u, v))]
+        return ["%s escapes basis via %s" % (_wit((u, v)), format_word(w))
+                for w in _strays(ctx, lhs)[:1]]
+
+    return Report.over("reduce-hom", sample_basis(free, max_deg, max_rdeg, seed, count, 2),
+                       violations)
+
+
+def _strays(ctx, comb):
+    return [w for w in comb if not ctx.is_basis_word(w)]
 
 
 def all_operator_words(alphabet, max_deg, max_rdeg):
@@ -215,15 +186,11 @@ def all_operator_words(alphabet, max_deg, max_rdeg):
 
 def check_spanning(ctx, max_deg, max_rdeg):
     """Every operator word reduces to a combination of basis words."""
-    report = Report("spanning deg<=%d rdeg<=%d" % (max_deg, max_rdeg))
-    for w in all_operator_words(ctx.alphabet, max_deg, max_rdeg):
-        out = ctx.evaluate(w)
-        report.checked += 1
-        stray = [t for t in out if not ctx.is_basis_word(t)]
-        if stray:
-            report.violations.append(
-                "%s reduces onto non-basis %s" % (format_word(w), format_word(stray[0])))
-    return report
+    return Report.over(
+        "spanning deg<=%d rdeg<=%d" % (max_deg, max_rdeg),
+        ((w,) for w in all_operator_words(ctx.alphabet, max_deg, max_rdeg)),
+        lambda w: ["%s reduces onto non-basis %s" % (format_word(w), format_word(t))
+                   for t in _strays(ctx, ctx.evaluate(w))[:1]])
 
 
 def _mobius(n):

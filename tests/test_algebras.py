@@ -10,6 +10,7 @@ from rblie.algebras import (
     abelianize,
     derivation_prelie_example,
     format_algebra,
+    load_algebra,
     parse_algebra_text,
     rb_residue,
 )
@@ -88,6 +89,46 @@ class TestValidators:
 
     def test_pre_table_works_as_post_with_zero_bracket(self):
         assert pre_as_post().validate().passed
+
+    # Golden reports: the exact line, count and witness list, in order.
+
+    def test_golden_pre_report(self):
+        alg = load_algebra("demos/algebras/two_dim.alg")
+        dot = dict(alg.dot)
+        dot[("t", "u")] = {"u": 1}
+        report = StructureAlgebra(alg.names, "pre", dot=dot).validate()
+        assert report.line() == "FAIL pre-lie(u,t) checked=8 witness=triple=(u,t,t) residue=-t"
+        assert report.checked == 8
+        assert report.violations == ["triple=(u,t,t) residue=-t", "triple=(t,u,t) residue=t"]
+
+    def test_golden_lie_report(self):
+        report = StructureAlgebra(("a", "b"), "lie", bracket={("a", "b"): {"a": 1}}).validate()
+        assert report.line() == "FAIL lie(a,b) checked=12 witness=pair=(a,b) residue=a"
+        assert report.checked == 12
+        assert report.violations == [
+            "pair=(a,b) residue=a", "pair=(b,a) residue=a",
+            "triple=(a,b,b) residue=a", "triple=(b,a,b) residue=a", "triple=(b,b,a) residue=a",
+        ]
+
+    def test_golden_post_report(self):
+        alg = load_algebra("demos/algebras/so3_post.alg")
+        dot = dict(alg.dot)
+        dot[("a", "a")] = {"a": 1}
+        report = StructureAlgebra(alg.names, "post", dot=dot, bracket=alg.bracket).validate()
+        assert report.line() == (
+            "FAIL post-lie(a,b,c) checked=63 witness=bracket-law triple=(a,a,b) residue=-c")
+        assert report.checked == 63
+        assert report.violations == [
+            "bracket-law triple=(a,a,b) residue=-c", "bracket-law triple=(a,a,c) residue=b",
+            "bracket-law triple=(a,b,a) residue=c", "bracket-law triple=(a,b,c) residue=a",
+            "bracket-law triple=(a,c,a) residue=-b", "bracket-law triple=(a,c,b) residue=-a",
+            "product-law triple=(b,c,a) residue=a", "product-law triple=(c,b,a) residue=-a",
+        ]
+
+    def test_golden_passing_report(self):
+        report = load_algebra("demos/algebras/so3_post.alg").validate()
+        assert (report.line(), report.checked, report.violations) == (
+            "PASS post-lie(a,b,c) checked=63", 63, [])
 
 
 class TestAbelianize:

@@ -49,6 +49,14 @@ class TestBasis:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("bounds", [("--max-deg", "-1"),
+                                        ("--max-deg", "2", "--max-rdeg", "-1")])
+    def test_negative_bounds_are_refused(self, capsys, bounds):
+        code, out, err = run(capsys, "basis", "--kind", "free-rb", "--alphabet", "a,b",
+                             *bounds)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestMul:
     def test_free_rb_weight_zero(self, capsys):
@@ -151,6 +159,22 @@ class TestVerify:
                                  "--property", "rb", "--samples", "40")
             assert code == 0
             assert out.startswith("PASS rb weight %s" % weight)
+
+    @pytest.mark.parametrize("bound", ["--max-deg", "--max-rdeg"])
+    def test_negative_bounds_are_refused(self, capsys, bound):
+        # pbw over a negative bound would print PASS with checked=0
+        code, out, err = run(capsys, "verify", "--algebra", SO3, "--property", "pbw",
+                             bound, "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_are_refused(self, capsys, samples):
+        # a check over no samples would print PASS having checked nothing
+        code, out, err = run(capsys, "verify", "--kind", "ls", "--alphabet", "a,b",
+                             "--property", "anticomm", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_derived_gating(self, capsys):
         code, out, err = run(capsys, "verify", "--kind", "free-rb",

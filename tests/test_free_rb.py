@@ -10,6 +10,7 @@ import itertools
 import sys
 import threading
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,25 @@ class TestOperator:
         a = ab.gen("a")
         assert ctx0.mult_comb(RApp(a), RApp(a)).is_zero
         assert ctx1.mult_comb(RApp(a), RApp(a)).is_zero
+
+
+class TestCoefficients:
+    def test_integer_coefficients_stay_int(self, ab):
+        # every coefficient of a free product is an integer; none should
+        # be stored as a Fraction, rule 2's negation included
+        ctx = FreeRBContext(ab, weight=1)
+        words = enumerate_basis(ctx, 3, 1)
+        for u, v in itertools.product(words, repeat=2):
+            assert all(type(c) is int for c in ctx.mult(u, v).values()), (u, v)
+        assert all(type(c) is int for out in ctx._memo.values() for c in out.values())
+
+    def test_scaling_keeps_exact_types(self):
+        comb = LinComb.single("x", 3)
+        assert type((-comb)["x"]) is int
+        assert comb.scaled(Fraction(1, 2)) == {"x": Fraction(3, 2)}
+        assert comb.scaled(0.5) == {"x": Fraction(3, 2)}
+        assert type(comb.scaled(0.5)["x"]) is Fraction
+        assert comb.scaled(0) == {}
 
 
 class TestIdentitiesExhaustive:

@@ -114,6 +114,15 @@ class TestMembership:
             PCLSContext(abc, CommGraph(("a", "b")))
 
 
+    def test_generator_of_another_alphabet_is_not_a_member(self):
+        # same name, other rank: the letter of Alphabet("ba") is not this "a"
+        ctx = LSContext(Alphabet("ab"))
+        foreign = Alphabet("ba").gen("a")
+        assert not ctx.is_basis_word(foreign)
+        with pytest.raises(ValueError):
+            ctx.evaluate(foreign)
+
+
 class TestEnumeration:
     def test_single_edge_degree_two(self, abc, edge_ab):
         got = [str(w) for w in enum_pcls(abc, edge_ab, 2)]

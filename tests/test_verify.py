@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import TEST_ALGEBRA_MAKERS, one_dim_pre, so3_post
+from rblie.algebras import load_algebra
 from rblie.enveloping import EnvContext
 from rblie.free_rb import FreeRBContext
 from rblie.pcls import LSContext
@@ -11,6 +12,7 @@ from rblie.terms import Alphabet
 from rblie.verify import (
     PROPERTIES,
     check_enum_oracles,
+    check_spanning,
     run_property,
     sample_basis,
     witt_count,
@@ -145,3 +147,66 @@ class TestRunProperty:
     def test_report_line_shape(self, ab):
         report = run_property("anticomm", FreeRBContext(ab), count=25, max_deg=2, max_rdeg=1)
         assert report.line() == "PASS anticomm checked=25"
+
+
+# The first four witnesses of the corrupted rewrite on free weight 0 and 1
+# contexts, seed 1, six samples of bidegree at most (3, 1).
+_CORRUPT_TRIPLES = [
+    "([R([a,b]),a] | [a,b] | [R(b),[a,b]])",
+    "([[R(b),a],a] | [R(a),b] | [R(a),a])",
+    "([[R(b),a],a] | a | R(b))",
+    "([R(a),[a,b]] | [[R(a),b],a] | [R([a,b]),a])",
+]
+
+
+def _golden(report):
+    return report.line(), report.checked, report.violations
+
+
+class TestGoldenReports:
+    """The exact line, count and witness list of each check, in order."""
+
+    @pytest.mark.parametrize("weight", [0, 1])
+    def test_corrupt_jacobi(self, ab, weight):
+        ctx = FreeRBContext(ab, weight=weight)
+        ctx.corrupt_sign = True
+        report = run_property("jacobi", ctx, seed=1, count=6, max_deg=3, max_rdeg=1)
+        assert _golden(report) == (
+            "FAIL jacobi checked=6 witness=" + _CORRUPT_TRIPLES[0], 6, _CORRUPT_TRIPLES)
+
+    @pytest.mark.parametrize("weight,prop", [(0, "derived-pre"), (1, "derived-post")])
+    def test_corrupt_derived(self, ab, weight, prop):
+        ctx = FreeRBContext(ab, weight=weight)
+        ctx.corrupt_sign = True
+        report = run_property(prop, ctx, seed=1, count=6, max_deg=3, max_rdeg=1)
+        first = "([R([a,b]),a] | [[R(b),b],a] | [R([a,b]),a])"
+        # at weight 0 the third corrupted Jacobi triple still obeys the pre-Lie law
+        rest = _CORRUPT_TRIPLES if weight else [_CORRUPT_TRIPLES[i] for i in (0, 1, 3)]
+        assert _golden(report) == (
+            "FAIL %s checked=6 witness=%s" % (prop, first), 6, [first] + rest)
+
+    @pytest.mark.parametrize("weight", [0, 1])
+    def test_passing_free_checks(self, ab, weight):
+        ctx = FreeRBContext(ab, weight=weight)
+        for prop, name in (("anticomm", "anticomm"), ("rb", "rb weight %d" % weight),
+                           ("assump", "assump")):
+            report = run_property(prop, ctx, seed=1, count=6, max_deg=3, max_rdeg=1)
+            assert _golden(report) == ("PASS %s checked=6" % name, 6, [])
+        assert _golden(check_spanning(ctx, 3, 1)) == (
+            "PASS spanning deg<=3 rdeg<=1 checked=116", 116, [])
+
+    @pytest.mark.parametrize("name,spanned", [("two_dim", 116), ("so3_post", 366)])
+    def test_passing_env_checks(self, name, spanned):
+        ctx = EnvContext(load_algebra("demos/algebras/%s.alg" % name))
+        report = run_property("reduce-hom", ctx, seed=1, count=6, max_deg=3, max_rdeg=1)
+        assert _golden(report) == ("PASS reduce-hom checked=6", 6, [])
+        assert _golden(check_spanning(ctx, 3, 1)) == (
+            "PASS spanning deg<=3 rdeg<=1 checked=%d" % spanned, spanned, [])
+
+    def test_corrupt_reduce_hom(self):
+        ctx = EnvContext(load_algebra("demos/algebras/two_dim.alg"))
+        ctx.corrupt_sign = True
+        report = run_property("reduce-hom", ctx, seed=3, count=30, max_deg=3, max_rdeg=1)
+        assert _golden(report) == (
+            "FAIL reduce-hom checked=30 witness=([[R(t),u],u] | [u,t])", 30,
+            ["([[R(t),u],u] | [u,t])", "([[u,t],t] | [[R(u),t],u])"])
