@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .expr import ExprError, parse_expr
+from .expr import ExprError, format_lincomb, parse_expr
 from .lincomb import LinComb
 from .terms import Alphabet, Gen
 
@@ -138,21 +138,6 @@ class StructureAlgebra:
         )
 
 
-def _fmt(comb, order):
-    if not comb:
-        return "0"
-    keys = sorted(comb, key=order.index)
-    parts = []
-    for k in keys:
-        c = comb[k]
-        mag = str(k) if abs(c) == 1 else "%s*%s" % (abs(c), k)
-        if not parts:
-            parts.append(mag if c > 0 else "-" + mag)
-        else:
-            parts.append("%s %s" % ("+" if c > 0 else "-", mag))
-    return " ".join(parts)
-
-
 def pre_lie_residue(dot, x, y, z):
     """Left-hand minus right-hand side of the pre-Lie law; zero iff it holds."""
     lhs = dot(dot(x, y), z) - dot(x, dot(y, z))
@@ -194,9 +179,10 @@ def _table_law(algebra, law, arity, residues):
     nonzero residue is a witness "label=(names) residue=...".
     """
     vecs = {n: LinComb.single(n) for n in algebra.names}
+    order = algebra.names.index
 
     def violations(*names):
-        return ["%s=(%s) residue=%s" % (label, ",".join(names), _fmt(r, algebra.names))
+        return ["%s=(%s) residue=%s" % (label, ",".join(names), format_lincomb(r, order))
                 for label, r in residues(*(vecs[n] for n in names)) if r]
 
     name = "%s(%s)" % (law, ",".join(algebra.names))
@@ -370,5 +356,6 @@ def format_algebra(algebra):
             for b in algebra.names:
                 entry = table.get((a, b))
                 if entry:
-                    lines.append("%s %s %s = %s" % (label, a, b, _fmt(entry, algebra.names)))
+                    text = format_lincomb(entry, algebra.names.index)
+                    lines.append("%s %s %s = %s" % (label, a, b, text))
     return "\n".join(lines) + "\n"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 
 from .algebras import load_algebra
 from .enveloping import EnvContext, pbw_table
@@ -47,6 +46,7 @@ def _add_context_flags(sub):
 
 def _build_context(args):
     kind = args.kind
+    algebra = None
     if kind is None and args.algebra:
         algebra = load_algebra(args.algebra)
         kind = "env-pre" if algebra.kind == "pre" else "env-post"
@@ -58,7 +58,8 @@ def _build_context(args):
             raise UsageError("env kinds take their data from --algebra alone")
         if not args.algebra:
             raise UsageError("--algebra is required for %s" % kind)
-        algebra = load_algebra(args.algebra)
+        if algebra is None:
+            algebra = load_algebra(args.algebra)
         want = "pre" if kind == "env-pre" else "post"
         if algebra.kind != want:
             raise UsageError("%s expects a %s table, file says %r"
@@ -105,16 +106,15 @@ def cmd_basis(args):
     _check_bounds(args)
     ctx = _build_context(args)
     _check_rdeg(ctx, args.max_rdeg)
-    words = enumerate_basis(ctx, args.max_deg, args.max_rdeg)
     if args.counts or args.tsv:
-        table = Counter((w.xdeg, w.degr) for w in words)
+        table = pbw_table(ctx, args.max_deg, args.max_rdeg)
         for (d, r) in sorted(table):
             if args.tsv:
                 print("%d\t%d\t%d" % (d, r, table[(d, r)]))
             else:
                 print("(%d, %d): %d" % (d, r, table[(d, r)]))
     else:
-        for w in words:
+        for w in enumerate_basis(ctx, args.max_deg, args.max_rdeg):
             print(format_word(w))
     return 0
 
@@ -154,6 +154,8 @@ def cmd_verify(args):
         seed=args.seed, count=args.samples,
         max_deg=args.max_deg, max_rdeg=args.max_rdeg,
     )
+    if not report.checked:
+        raise UsageError("%s checked nothing; widen the bounds" % report.name)
     print(report.line())
     if args.property == "pbw" and report.passed:
         table = pbw_table(ctx, args.max_deg, args.max_rdeg)

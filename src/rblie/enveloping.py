@@ -39,16 +39,14 @@ class EnvContext(FreeRBContext):
     law would poison every downstream identity, so this fails closed.
     """
 
-    def __init__(self, algebra, fuel_limit=None, validate=True):
+    def __init__(self, algebra):
         if algebra.kind not in ("pre", "post"):
             raise ValueError("enveloping construction needs a pre or post table, got %r"
                              % (algebra.kind,))
-        if validate:
-            report = algebra.validate()
-            if not report.passed:
-                raise ValueError("refusing a table that fails its law: %s" % report.line())
-        weight = 0 if algebra.kind == "pre" else 1
-        super().__init__(algebra.alphabet, weight=weight, fuel_limit=fuel_limit)
+        report = algebra.validate()
+        if not report.passed:
+            raise ValueError("refusing a table that fails its law: %s" % report.line())
+        super().__init__(algebra.alphabet, weight=0 if algebra.kind == "pre" else 1)
         self.algebra = algebra
         self.kind = algebra.kind
 
@@ -95,7 +93,4 @@ def embed(ctx, x):
 def pbw_table(ctx, max_deg, max_rdeg):
     """Counter mapping (generator-degree, operator-degree) to the number of
     basis words of that bidegree."""
-    table = Counter()
-    for w in enumerate_basis(ctx, max_deg, max_rdeg):
-        table[(w.xdeg, w.degr)] += 1
-    return table
+    return Counter((w.xdeg, w.degr) for w in enumerate_basis(ctx, max_deg, max_rdeg))

@@ -168,22 +168,15 @@ def format_word(w):
     return str(w)
 
 
-def _format_abs(coeff):
-    c = abs(coeff)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
-def format_lincomb(lc):
-    """Canonical text: terms in decreasing word order, exact coefficients."""
+def format_lincomb(lc, key=None):
+    """Canonical text: terms in decreasing word order, exact coefficients.
+    A `key` sorts the terms instead (tables pass `names.index`)."""
     if not lc:
         return "0"
-    key = descending_key()
     parts = []
-    for word in sorted(lc, key=key):
+    for word in sorted(lc, key=key or descending_key()):
         coeff = lc[word]
-        body = str(word) if abs(coeff) == 1 else "%s*%s" % (_format_abs(coeff), word)
+        body = str(word) if abs(coeff) == 1 else "%s*%s" % (abs(coeff), word)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:

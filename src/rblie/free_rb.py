@@ -29,13 +29,11 @@ class FreeRBContext(BasisContext):
 
     supports_operator = True
 
-    def __init__(self, alphabet, weight=0, fuel_limit=None):
+    def __init__(self, alphabet, weight=0):
         if weight not in (0, 1):
             raise ValueError("weight must be 0 or 1, got %r" % (weight,))
         super().__init__(alphabet)
         self.weight = weight
-        if fuel_limit is not None:
-            self.fuel_limit = fuel_limit
 
     def adjacent(self, a, b):
         # distinct R-letters only: a clique has no loops, and a letter

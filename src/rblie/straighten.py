@@ -31,7 +31,9 @@ plus the partial-commutation condition (some letter of p is not
 `adjacent` to the first letter of q).  Concatenating LS words p > q
 gives an LS word, so the flattening of every basis word is LS without a
 separate rotation test.  Membership, rule 4 and `enumerate_basis` all
-use this one rule.
+use this one rule.  One bidegree table, `bidegree_words`, serves both
+`enumerate_basis` (brackets passing `bracket_ok`) and
+`verify.all_operator_words` (every bracket).
 
 Termination is guarded by fuel.  Each call of `mult`, `mult_comb` or
 `evaluate` gets one budget of `fuel_limit` rewriting steps (default one
@@ -54,7 +56,7 @@ from __future__ import annotations
 from .lincomb import LinComb
 from .terms import Br, Gen, RApp, Word, atoms, compare_words, sort_words_descending, total_cmp
 
-__all__ = ["FuelError", "BasisContext", "enumerate_basis"]
+__all__ = ["FuelError", "BasisContext", "bidegree_words", "enumerate_basis"]
 
 
 class FuelError(RuntimeError):
@@ -251,27 +253,34 @@ class BasisContext:
         return out
 
 
-def enumerate_basis(ctx, max_deg, max_rdeg=0):
-    """All basis words of ctx with xdeg <= max_deg and degr <= max_rdeg.
-
-    The bound is on generator occurrences (xdeg), counted inside operator
-    arguments too; bounding the letter count alone would leave infinitely
-    many one-letter words R(z).  Words are built by bidegree from smaller
-    basis words, keeping the brackets that pass `ctx.bracket_ok`.
-    Returned greatest first.
-    """
-    if not ctx.supports_operator:
-        max_rdeg = min(max_rdeg, 0)
+def bidegree_words(alphabet, max_deg, max_rdeg, keep):
+    """Words with xdeg <= max_deg and degr <= max_rdeg, bidegree by bidegree
+    (r within n): the generators, then R of the words one degr lower, then
+    the brackets [p,q] of smaller words, p's bidegree ascending, with keep(p, q)."""
     table = {}
     for n in range(1, max_deg + 1):
         for r in range(max_rdeg + 1):
-            level = list(ctx.alphabet.gens()) if (n, r) == (1, 0) else []
+            level = list(alphabet.gens()) if (n, r) == (1, 0) else []
             if r:
                 level.extend(RApp(w) for w in table[(n, r - 1)])
             for i in range(1, n):
                 for s in range(r + 1):
                     rights = table[(n - i, r - s)]
                     for p in table[(i, s)]:
-                        level.extend(Br(p, q) for q in rights if ctx.bracket_ok(p, q))
+                        level.extend(Br(p, q) for q in rights if keep(p, q))
             table[(n, r)] = level
-    return sort_words_descending(w for level in table.values() for w in level)
+    return [w for level in table.values() for w in level]
+
+
+def enumerate_basis(ctx, max_deg, max_rdeg=0):
+    """All basis words of ctx with xdeg <= max_deg and degr <= max_rdeg.
+
+    The bound is on generator occurrences (xdeg), counted inside operator
+    arguments too; bounding the letter count alone would leave infinitely
+    many one-letter words R(z).  Words are built by `bidegree_words` from
+    smaller basis words, keeping the brackets that pass `ctx.bracket_ok`.
+    Returned greatest first.
+    """
+    if not ctx.supports_operator:
+        max_rdeg = min(max_rdeg, 0)
+    return sort_words_descending(bidegree_words(ctx.alphabet, max_deg, max_rdeg, ctx.bracket_ok))

@@ -32,8 +32,8 @@ from .algebras import (
 from .expr import format_word
 from .free_rb import FreeRBContext
 from .rng import XorShift64
-from .straighten import enumerate_basis
-from .terms import Br, RApp, atoms, compare_words
+from .straighten import bidegree_words, enumerate_basis
+from .terms import Br, atoms, compare_words, sort_words_descending
 
 __all__ = [
     "PROPERTIES", "run_property", "sample_basis",
@@ -155,33 +155,9 @@ def _strays(ctx, comb):
 
 
 def all_operator_words(alphabet, max_deg, max_rdeg):
-    """Every bracketing over generators and R with the given bidegree
-    bounds, basis-shaped or not.  Grows fast; keep the bounds small."""
-    gens = list(alphabet.gens())
-    memo = {}
-
-    def level(n, r):
-        if (n, r) in memo:
-            return memo[(n, r)]
-        out = []
-        if n == 1 and r == 0:
-            out.extend(gens)
-        if r >= 1:
-            out.extend(RApp(w) for w in level(n, r - 1))
-        if n >= 2:
-            for i in range(1, n):
-                for s in range(r + 1):
-                    for left in level(i, s):
-                        for right in level(n - i, r - s):
-                            out.append(Br(left, right))
-        memo[(n, r)] = out
-        return out
-
-    words = []
-    for n in range(1, max_deg + 1):
-        for r in range(max_rdeg + 1):
-            words.extend(level(n, r))
-    return words
+    """Every bracketing over generators and R within the bidegree bounds,
+    basis-shaped or not, in build order.  Grows fast; keep the bounds small."""
+    return bidegree_words(alphabet, max_deg, max_rdeg, lambda p, q: True)
 
 
 def check_spanning(ctx, max_deg, max_rdeg):
@@ -221,8 +197,8 @@ def check_enum_oracles():
     from .terms import Alphabet
 
     report = Report("enum-oracles")
-    ctx = LSContext(Alphabet(("a", "b")))
-    listed_ls = enumerate_basis(ctx, 6)
+    ls = LSContext(Alphabet(("a", "b")))
+    listed_ls = enumerate_basis(ls, 6)
     per_deg = Counter(w.deg for w in listed_ls)
     for n in range(1, 7):
         want = witt_count(2, n)
@@ -231,25 +207,17 @@ def check_enum_oracles():
             report.violations.append(
                 "free Lie on 2 letters, degree %d: %d words, closed form %d"
                 % (n, per_deg.get(n, 0), want))
-    brute_ls = {w for w in all_operator_words(ctx.alphabet, 6, 0) if ctx.is_basis_word(w)}
-    report.checked += 1
-    if brute_ls != set(listed_ls):
-        diff = sorted(brute_ls ^ set(listed_ls), key=lambda w: w.deg)
-        report.violations.append(
-            "free Lie basis, degree <= 6: filter and builder disagree on %s"
-            % format_word(diff[0]))
-
-    alphabet = Alphabet(("a", "b", "c"))
-    graph = CommGraph(("a", "b", "c"), (("a", "b"),))
-    pctx = PCLSContext(alphabet, graph)
-    brute = {w for w in all_operator_words(alphabet, 4, 0) if pctx.is_basis_word(w)}
-    listed = set(enumerate_basis(pctx, 4))
-    report.checked += 1
-    if brute != listed:
-        diff = sorted(brute ^ listed, key=lambda w: w.deg)
-        report.violations.append(
-            "commuting-pair basis, degree <= 4: filter and builder disagree on %s"
-            % format_word(diff[0]))
+    pcls = PCLSContext(Alphabet(("a", "b", "c")), CommGraph(("a", "b", "c"), (("a", "b"),)))
+    for label, ctx, deg, listed in (("free Lie basis", ls, 6, listed_ls),
+                                    ("commuting-pair basis", pcls, 4, enumerate_basis(pcls, 4))):
+        brute = {w for w in all_operator_words(ctx.alphabet, deg, 0) if ctx.is_basis_word(w)}
+        report.checked += 1
+        diff = brute ^ set(listed)
+        if diff:
+            report.violations.append(
+                "%s, degree <= %d: filter and builder disagree on %s"
+                % (label, deg, format_word(min(sort_words_descending(diff),
+                                               key=lambda w: w.deg))))
     return report
 
 

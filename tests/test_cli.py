@@ -176,6 +176,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_a_check_of_nothing_is_refused(self, capsys):
+        # no bidegree fits under --max-deg 0, so pbw would pass counting none
+        code, out, err = run(capsys, "verify", "--algebra", SO3, "--property", "pbw",
+                             "--max-deg", "0")
+        assert code == 2 and out == ""
+        assert err == "error: pbw deg<=0 rdeg<=2 checked nothing; widen the bounds\n"
+
     def test_derived_gating(self, capsys):
         code, out, err = run(capsys, "verify", "--kind", "free-rb",
                              "--alphabet", "a,b", "--property", "derived-post")

@@ -50,9 +50,6 @@ class TestConstruction:
         )
         with pytest.raises(ValueError, match="fails its law"):
             EnvContext(broken)
-        # the escape hatch for deliberately broken tables
-        ctx = EnvContext(broken, validate=False)
-        assert ctx.algebra is broken
 
 
 class TestMembership:

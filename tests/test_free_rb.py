@@ -267,7 +267,8 @@ class TestGradedShape:
 
 class TestFuel:
     def test_exhaustion_raises(self, ab):
-        ctx = FreeRBContext(ab, fuel_limit=2)
+        ctx = FreeRBContext(ab)
+        ctx.fuel_limit = 2
         a, b = ab.gens()
         with pytest.raises(FuelError, match="fuel"):
             ctx.mult(RApp(a), RApp(b))
@@ -282,7 +283,8 @@ class TestFuel:
         y = parse_word("[R(a),b]", ab)
         single = max(_least_budget(ab, lambda ctx, w=w: ctx.mult(w, y)) for w in x)
         assert _least_budget(ab, lambda ctx: ctx.mult_comb(x, y)) > single
-        warm = FreeRBContext(ab, fuel_limit=single)
+        warm = FreeRBContext(ab)
+        warm.fuel_limit = single
         for w in x:
             warm.mult(w, y)
         assert warm.mult_comb(x, y) == FreeRBContext(ab).mult_comb(x, y)
@@ -291,8 +293,10 @@ class TestFuel:
 def _least_budget(ab, call):
     """The smallest fuel_limit under which call(fresh context) succeeds."""
     for limit in range(1, 10 ** 4):
+        ctx = FreeRBContext(ab)
+        ctx.fuel_limit = limit
         try:
-            call(FreeRBContext(ab, fuel_limit=limit))
+            call(ctx)
         except FuelError:
             continue
         return limit

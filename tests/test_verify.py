@@ -1,5 +1,10 @@
 """The property-check harness and its deterministic sampler."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import TEST_ALGEBRA_MAKERS, one_dim_pre, so3_post
@@ -112,6 +117,29 @@ class TestRunProperty:
         report = check_enum_oracles()
         assert report.passed
         assert report.checked == 8
+
+    def test_enum_oracles_witness_is_the_same_in_every_process(self):
+        # a filter that drops every degree-3 word disagrees with the builder
+        # on several words; the witness must not follow set iteration order,
+        # which string hashing changes from one process to the next
+        script = (
+            "from rblie import straighten, verify\n"
+            "rule = straighten.BasisContext.is_basis_word\n"
+            "straighten.BasisContext.is_basis_word = "
+            "lambda self, w: w.deg != 3 and rule(self, w)\n"
+            "print(verify.check_enum_oracles().violations)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = {
+            subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                           text=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "2", "3", "4")
+        }
+        assert outs == {
+            "['free Lie basis, degree <= 6: filter and builder disagree on [a,[a,b]]', "
+            "'commuting-pair basis, degree <= 4: filter and builder disagree on [a,[a,c]]']\n"
+        }
 
     @pytest.mark.parametrize("prop", ["anticomm", "jacobi", "rb", "assump"])
     def test_free_contexts_pass(self, ab, prop):

@@ -1,5 +1,7 @@
 """Order, degrees, and alphabet handling for the term types."""
 
+import hashlib
+
 import pytest
 
 from rblie.rng import XorShift64
@@ -159,3 +161,51 @@ def test_hashable_and_usable_in_dicts(ab):
     assert d[RApp(a)] == 2
     assert Br(a, b) == Br(a, b)
     assert Br(a, b) != Br(b, a)
+
+
+# Every operator word over a > b up to bidegree (3, 1), in the order
+# all_operator_words builds them: bidegrees (generator degree, operator
+# degree) in turn, each listing generators, then R of the words one
+# operator degree down, then brackets by left factor's bidegree.
+_AB_3_1 = (
+    # bidegree (1, 0)
+    "a b "
+    # bidegree (1, 1)
+    "R(a) R(b) "
+    # bidegree (2, 0)
+    "[a,a] [a,b] [b,a] [b,b] "
+    # bidegree (2, 1)
+    "R([a,a]) R([a,b]) R([b,a]) R([b,b]) [a,R(a)] [a,R(b)] [b,R(a)] [b,R(b)] [R(a),a] "
+    "[R(a),b] [R(b),a] [R(b),b] "
+    # bidegree (3, 0)
+    "[a,[a,a]] [a,[a,b]] [a,[b,a]] [a,[b,b]] [b,[a,a]] [b,[a,b]] [b,[b,a]] [b,[b,b]] "
+    "[[a,a],a] [[a,a],b] [[a,b],a] [[a,b],b] [[b,a],a] [[b,a],b] [[b,b],a] [[b,b],b] "
+    # bidegree (3, 1)
+    "R([a,[a,a]]) R([a,[a,b]]) R([a,[b,a]]) R([a,[b,b]]) R([b,[a,a]]) R([b,[a,b]]) "
+    "R([b,[b,a]]) R([b,[b,b]]) R([[a,a],a]) R([[a,a],b]) R([[a,b],a]) R([[a,b],b]) "
+    "R([[b,a],a]) R([[b,a],b]) R([[b,b],a]) R([[b,b],b]) [a,R([a,a])] [a,R([a,b])] "
+    "[a,R([b,a])] [a,R([b,b])] [a,[a,R(a)]] [a,[a,R(b)]] [a,[b,R(a)]] [a,[b,R(b)]] "
+    "[a,[R(a),a]] [a,[R(a),b]] [a,[R(b),a]] [a,[R(b),b]] [b,R([a,a])] [b,R([a,b])] "
+    "[b,R([b,a])] [b,R([b,b])] [b,[a,R(a)]] [b,[a,R(b)]] [b,[b,R(a)]] [b,[b,R(b)]] "
+    "[b,[R(a),a]] [b,[R(a),b]] [b,[R(b),a]] [b,[R(b),b]] [R(a),[a,a]] [R(a),[a,b]] "
+    "[R(a),[b,a]] [R(a),[b,b]] [R(b),[a,a]] [R(b),[a,b]] [R(b),[b,a]] [R(b),[b,b]] "
+    "[[a,a],R(a)] [[a,a],R(b)] [[a,b],R(a)] [[a,b],R(b)] [[b,a],R(a)] [[b,a],R(b)] "
+    "[[b,b],R(a)] [[b,b],R(b)] [R([a,a]),a] [R([a,a]),b] [R([a,b]),a] [R([a,b]),b] "
+    "[R([b,a]),a] [R([b,a]),b] [R([b,b]),a] [R([b,b]),b] [[a,R(a)],a] [[a,R(a)],b] "
+    "[[a,R(b)],a] [[a,R(b)],b] [[b,R(a)],a] [[b,R(a)],b] [[b,R(b)],a] [[b,R(b)],b] "
+    "[[R(a),a],a] [[R(a),a],b] [[R(a),b],a] [[R(a),b],b] [[R(b),a],a] [[R(b),a],b] "
+    "[[R(b),b],a] [[R(b),b],b] "
+).split()
+
+# sha256 of the words up to bidegree (4, 2), one per line, in build order.
+_AB_4_2_SHA256 = "a44f45eb562159bf30fab743922fbac60ecf51536c13bb44168bcbd334958f24"
+
+
+def test_all_operator_words_build_order(ab):
+    # seeded draws index into this list (the order-axiom test above, the
+    # benchmark's query pools), so the order is pinned, not just the set
+    assert [str(w) for w in all_operator_words(ab, max_deg=3, max_rdeg=1)] == _AB_3_1
+    words = all_operator_words(ab, max_deg=4, max_rdeg=2)
+    assert len(words) == 3262
+    digest = hashlib.sha256("\n".join(map(str, words)).encode()).hexdigest()
+    assert digest == _AB_4_2_SHA256
