@@ -8,7 +8,8 @@ and the bracket of two commuting generators collapses to zero.
 """
 
 from rblie.expr import format_lincomb, format_word, parse_word
-from rblie.pcls import CommGraph, PCLSContext, enum_pcls, load_graph
+from rblie.pcls import CommGraph, PCLSContext, load_graph
+from rblie.straighten import enumerate_basis
 from rblie.terms import Alphabet
 
 al = Alphabet(("a", "b", "c"))
@@ -21,7 +22,7 @@ edge = load_graph("demos/graphs/path.graph", al)
 full = CommGraph.complete(al)
 
 for name, g in (("free", free), ("one edge", edge), ("complete", full)):
-    words = enum_pcls(al, g, 3)
+    words = enumerate_basis(PCLSContext(al, g), 3)
     print("%-9s %2d basis words up to degree 3" % (name, len(words)))
 
 # With a and b commuting the bracket [a,b] dies, [a,c] survives, and
@@ -30,7 +31,7 @@ ctx = PCLSContext(al, edge)
 for text in ("[a,b]", "[a,c]", "[[a,c],b]"):
     w = parse_word(text, al)
     print("%-9s evaluates to %s" % (text, format_lincomb(ctx.evaluate(w))))
-print([format_word(w) for w in enum_pcls(al, edge, 3)])
+print([format_word(w) for w in enumerate_basis(PCLSContext(al, edge), 3)])
 
 # The product respects the relations: multiplying a by b gives zero.
 a = parse_word("a", al)

@@ -8,13 +8,14 @@ the weight taken from the context.
 """
 
 from rblie.expr import format_lincomb, format_word, parse_word
-from rblie.free_rb import FreeRBContext, enum_free_basis
+from rblie.free_rb import FreeRBContext
+from rblie.straighten import enumerate_basis
 from rblie.terms import Alphabet
 
 al = Alphabet(("a", "b"))
 
 # The basis itself does not depend on the weight.
-for w in enum_free_basis(al, 2, 1):
+for w in enumerate_basis(FreeRBContext(al), 2, 1):
     print(format_word(w))
 
 # Products do.  Same pair of words, both weights:

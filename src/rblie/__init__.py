@@ -14,12 +14,11 @@ from .algebras import (
 )
 from .enveloping import EnvContext, embed, pbw_table
 from .expr import ExprError, format_lincomb, format_word, parse_expr, parse_word
-from .free_rb import FreeRBContext, enum_free_basis
+from .free_rb import FreeRBContext
 from .lincomb import LinComb
-from .lyndon import is_assoc_ls, is_ls, standard_bracketing
+from .lyndon import is_assoc_ls, standard_bracketing
 from .pcls import (
-    CommGraph, LSContext, PCLSContext, enum_ls, enum_pcls, format_graph, load_graph,
-    parse_graph_text,
+    CommGraph, LSContext, PCLSContext, format_graph, load_graph, parse_graph_text,
 )
 from .rng import XorShift64
 from .straighten import BasisContext, FuelError, enumerate_basis
@@ -37,9 +36,9 @@ __all__ = [
     "PROPERTIES", "RApp", "Report", "StructureAlgebra", "Word", "XorShift64",
     "abelianize", "atoms", "check_lie", "check_pre_lie", "check_post_lie",
     "compare_letters", "compare_words", "derivation_prelie_example", "embed",
-    "enum_free_basis", "enum_ls", "enum_pcls", "enumerate_basis",
+    "enumerate_basis",
     "format_algebra", "format_graph", "format_lincomb", "format_word",
-    "is_assoc_ls", "is_ls", "load_algebra", "load_graph", "parse_algebra_text",
+    "is_assoc_ls", "load_algebra", "load_graph", "parse_algebra_text",
     "parse_expr", "parse_graph_text", "parse_word", "pbw_table", "run_property",
     "sort_words_descending", "standard_bracketing", "total_cmp", "witt_count",
     "__version__",

@@ -2,9 +2,10 @@
 
 Subcommands: basis, mul, reduce, verify, check-algebra.  A context is
 selected with --kind (ls, pcls, free-rb, env-pre, env-post) plus the
-matching source flags: --alphabet for the free kinds, --graph for pcls,
---weight for free-rb, --algebra for the enveloping kinds.  Output is
-plain text and deterministic for fixed flags and seed.
+source flags that `KINDS` lists for it: --alphabet for the free kinds,
+optionally --graph for pcls and --weight for free-rb, --algebra for the
+enveloping kinds.  Output is plain text and deterministic for fixed
+flags and seed.
 
 Exit codes: 0 success or all checks pass, 1 a verification check failed,
 2 usage, parse, or file-format error, 3 fuel exhausted.
@@ -19,14 +20,23 @@ from .algebras import load_algebra
 from .enveloping import EnvContext, pbw_table
 from .expr import ExprError, format_lincomb, format_word, parse_expr
 from .free_rb import FreeRBContext
-from .pcls import CommGraph, LSContext, PCLSContext, load_graph
+from .pcls import PCLSContext, load_graph
 from .straighten import FuelError, enumerate_basis
 from .terms import Alphabet
 from .verify import PROPERTIES, run_property
 
 __all__ = ["main"]
 
-KINDS = ("ls", "pcls", "free-rb", "env-pre", "env-post")
+# The source flags each kind takes, the required one first; any other
+# context flag is refused.
+KINDS = {
+    "ls": ("alphabet",),
+    "pcls": ("alphabet", "graph"),
+    "free-rb": ("alphabet", "weight"),
+    "env-pre": ("algebra",),
+    "env-post": ("algebra",),
+}
+CONTEXT_FLAGS = ("kind", "alphabet", "graph", "algebra", "weight", "fuel")
 
 
 class UsageError(Exception):
@@ -34,7 +44,7 @@ class UsageError(Exception):
 
 
 def _add_context_flags(sub):
-    sub.add_argument("--kind", choices=KINDS, help="which algebra the words live in")
+    sub.add_argument("--kind", choices=tuple(KINDS), help="which algebra the words live in")
     sub.add_argument("--alphabet", help="generators, comma-separated, decreasing")
     sub.add_argument("--graph", help="commutation graph file (pcls only)")
     sub.add_argument("--algebra", help="structure-constant file (env kinds)")
@@ -44,47 +54,39 @@ def _add_context_flags(sub):
                      help="rewrite-step budget for each operand and for the product")
 
 
+def _refuse_flags(args, allowed, owner):
+    for flag in CONTEXT_FLAGS:
+        if flag not in allowed and getattr(args, flag) is not None:
+            raise UsageError("%s does not take --%s" % (owner, flag))
+
+
 def _build_context(args):
     kind = args.kind
     algebra = None
-    if kind is None and args.algebra:
+    if kind is None:
+        if not args.algebra:
+            raise UsageError("--kind is required (or --algebra to imply an env kind)")
         algebra = load_algebra(args.algebra)
         kind = "env-pre" if algebra.kind == "pre" else "env-post"
-    elif kind is None:
-        raise UsageError("--kind is required (or --algebra to imply an env kind)")
+    source = KINDS[kind]
+    _refuse_flags(args, ("kind", "fuel") + source, kind)
+    if not getattr(args, source[0]):
+        raise UsageError("--%s is required for %s" % (source[0], kind))
 
-    if kind in ("env-pre", "env-post"):
-        if args.alphabet or args.graph or args.weight is not None:
-            raise UsageError("env kinds take their data from --algebra alone")
-        if not args.algebra:
-            raise UsageError("--algebra is required for %s" % kind)
+    if source[0] == "algebra":
         if algebra is None:
             algebra = load_algebra(args.algebra)
-        want = "pre" if kind == "env-pre" else "post"
+        want = kind[len("env-"):]
         if algebra.kind != want:
             raise UsageError("%s expects a %s table, file says %r"
                              % (kind, want, algebra.kind))
         ctx = EnvContext(algebra)
     else:
-        if args.algebra:
-            raise UsageError("--algebra only applies to env kinds")
-        if not args.alphabet:
-            raise UsageError("--alphabet is required for %s" % kind)
         alphabet = Alphabet.from_spec(args.alphabet)
-        if kind == "ls":
-            if args.graph or args.weight is not None:
-                raise UsageError("ls takes only --alphabet")
-            ctx = LSContext(alphabet)
-        elif kind == "pcls":
-            if args.weight is not None:
-                raise UsageError("pcls has no weight")
-            graph = load_graph(args.graph, alphabet) if args.graph \
-                else CommGraph.empty(alphabet)
-            ctx = PCLSContext(alphabet, graph)
-        else:
-            if args.graph:
-                raise UsageError("free-rb has no graph flag")
+        if kind == "free-rb":
             ctx = FreeRBContext(alphabet, weight=args.weight or 0)
+        else:
+            ctx = PCLSContext(alphabet, load_graph(args.graph, alphabet) if args.graph else None)
     if args.fuel is not None:
         if args.fuel < 1:
             raise UsageError("--fuel must be positive")
@@ -92,27 +94,26 @@ def _build_context(args):
     return ctx
 
 
-def _check_rdeg(ctx, max_rdeg):
-    if max_rdeg and not ctx.supports_operator:
+def _check_bounds(args, ctx):
+    """Refuse a negative bound, and --max-rdeg on a context without an operator."""
+    if args.max_rdeg and ctx is not None and not ctx.supports_operator:
         raise UsageError("--max-rdeg applies to operator kinds only")
-
-
-def _check_bounds(args):
-    if args.max_deg < 0 or args.max_rdeg < 0:
+    if args.max_deg < 0 or (args.max_rdeg or 0) < 0:
         raise UsageError("--max-deg and --max-rdeg must not be negative")
 
 
+def _print_counts(ctx, max_deg, max_rdeg, row="(%d, %d): %d"):
+    table = pbw_table(ctx, max_deg, max_rdeg)
+    for key in sorted(table):
+        print(row % (key + (table[key],)))
+
+
 def cmd_basis(args):
-    _check_bounds(args)
     ctx = _build_context(args)
-    _check_rdeg(ctx, args.max_rdeg)
+    _check_bounds(args, ctx)
     if args.counts or args.tsv:
-        table = pbw_table(ctx, args.max_deg, args.max_rdeg)
-        for (d, r) in sorted(table):
-            if args.tsv:
-                print("%d\t%d\t%d" % (d, r, table[(d, r)]))
-            else:
-                print("(%d, %d): %d" % (d, r, table[(d, r)]))
+        _print_counts(ctx, args.max_deg, args.max_rdeg,
+                      "%d\t%d\t%d" if args.tsv else "(%d, %d): %d")
     else:
         for w in enumerate_basis(ctx, args.max_deg, args.max_rdeg):
             print(format_word(w))
@@ -141,26 +142,24 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
-    _check_bounds(args)
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     ctx = None
-    if args.property != "enum-oracles":
+    if args.property == "enum-oracles":
+        _refuse_flags(args, (), "enum-oracles")
+    else:
         ctx = _build_context(args)
         if args.corrupt_rule:
             ctx.corrupt_sign = True
-    report = run_property(
-        args.property, ctx,
-        seed=args.seed, count=args.samples,
-        max_deg=args.max_deg, max_rdeg=args.max_rdeg,
-    )
+    _check_bounds(args, ctx)
+    max_rdeg = 2 if args.max_rdeg is None else args.max_rdeg
+    report = run_property(args.property, ctx, seed=args.seed, count=args.samples,
+                          max_deg=args.max_deg, max_rdeg=max_rdeg)
     if not report.checked:
         raise UsageError("%s checked nothing; widen the bounds" % report.name)
     print(report.line())
     if args.property == "pbw" and report.passed:
-        table = pbw_table(ctx, args.max_deg, args.max_rdeg)
-        for key in sorted(table):
-            print("(%d, %d): %d" % (key[0], key[1], table[key]))
+        _print_counts(ctx, args.max_deg, max_rdeg)
     return 0 if report.passed else 1
 
 
@@ -203,7 +202,7 @@ def build_parser():
     _add_context_flags(p)
     p.add_argument("--property", required=True, choices=PROPERTIES)
     p.add_argument("--max-deg", type=int, default=3)
-    p.add_argument("--max-rdeg", type=int, default=2)
+    p.add_argument("--max-rdeg", type=int, default=None)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--corrupt-rule", action="store_true", help=argparse.SUPPRESS)

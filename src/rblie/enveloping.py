@@ -48,7 +48,6 @@ class EnvContext(FreeRBContext):
             raise ValueError("refusing a table that fails its law: %s" % report.line())
         super().__init__(algebra.alphabet, weight=0 if algebra.kind == "pre" else 1)
         self.algebra = algebra
-        self.kind = algebra.kind
 
     def _lift(self, entry):
         out = LinComb()
@@ -64,7 +63,7 @@ class EnvContext(FreeRBContext):
             if isinstance(u.arg, Gen):
                 return self._lift(self.algebra.dot.get((u.arg.name, v.name)))
             return None
-        if self.kind == "post":
+        if self.weight:
             return self._lift(self.algebra.bracket.get((u.name, v.name)))
         return None
 

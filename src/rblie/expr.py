@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lincomb import LinComb
-from .terms import Br, Gen, RApp, descending_key
+from .terms import Br, RApp, descending_key
 
 __all__ = ["ExprError", "parse_word", "parse_expr", "format_word", "format_lincomb"]
 

@@ -4,13 +4,14 @@ The operator R satisfies
 
     [R(x), R(y)] = R([R(x), y] + [x, R(y)] + weight * [x, y]).
 
-Basis words are built in layers: Lyndon-Shirshov words over the
-generators, then admissible words over the alphabet enlarged by letters
-R(z) for every basis word z, where any two R-letters are declared to
-commute... except they do not commute to zero: a bracket of two
-R-letters is instead resolved by the identity above, which is why the
-admissibility filter treats the R-letters as a mutually "adjacent"
-clique.  The resulting basis does not depend on the weight.
+Basis words follow the one root rule of `straighten`: R(z) is a letter
+for every basis word z, and a bracket [p,q] of basis words is one when
+it passes the Lyndon-Shirshov root check with the R-letters declared a
+clique of `adjacent` letters.  So [p,q] is refused when q starts with an
+R-letter and every letter of p is a different R-letter.  Unlike a
+commuting pair in `pcls`, two R-letters do not bracket to zero: the
+letter rule resolves [R(x), R(y)] by the identity above.  The basis
+does not depend on the weight; only products do.
 
 Generators are smaller than all R-letters; R-letters compare by their
 arguments (see `terms`).
@@ -18,11 +19,10 @@ arguments (see `terms`).
 
 from __future__ import annotations
 
-from .lincomb import LinComb
-from .straighten import BasisContext, enumerate_basis
+from .straighten import BasisContext
 from .terms import RApp
 
-__all__ = ["FreeRBContext", "enum_free_basis"]
+__all__ = ["FreeRBContext"]
 
 
 class FreeRBContext(BasisContext):
@@ -47,9 +47,3 @@ class FreeRBContext(BasisContext):
                 inner.iadd_comb(self._mult(u.arg, v.arg, fuel))
             return self.apply_r(inner)
         return None
-
-
-def enum_free_basis(alphabet, max_deg, max_rdeg):
-    """Basis words with at most max_deg generator occurrences and max_rdeg
-    R symbols, greatest first.  Independent of the weight."""
-    return enumerate_basis(FreeRBContext(alphabet), max_deg, max_rdeg)

@@ -74,6 +74,3 @@ class LinComb(dict):
     @property
     def is_zero(self):
         return not self
-
-    def __hash__(self):
-        raise TypeError("LinComb is not hashable")

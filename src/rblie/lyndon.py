@@ -23,9 +23,9 @@ the root of a bracket of basis words, and tests compare the two.
 
 from __future__ import annotations
 
-from .terms import Br, Gen, atoms, compare_letters, compare_words
+from .terms import Br, atoms, compare_words
 
-__all__ = ["is_assoc_ls", "standard_bracketing", "is_ls", "ls_shape_ok"]
+__all__ = ["is_assoc_ls", "standard_bracketing", "ls_shape_ok"]
 
 
 def is_assoc_ls(seq):
@@ -89,8 +89,3 @@ def ls_shape_ok(w, adjacent=None, atom_ok=None, node_ok=None):
         if all(adjacent(x, head) for x in fp):
             return False
     return True
-
-
-def is_ls(w):
-    """True when w is a Lyndon-Shirshov word over plain generators (no operator)."""
-    return ls_shape_ok(w, atom_ok=lambda a: isinstance(a, Gen))

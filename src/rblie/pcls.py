@@ -15,12 +15,11 @@ rule: the bracket of two adjacent generators is zero.
 from __future__ import annotations
 
 from .lincomb import LinComb
-from .straighten import BasisContext, enumerate_basis
+from .straighten import BasisContext
 from .terms import Gen
 
 __all__ = [
-    "CommGraph", "PCLSContext", "LSContext", "enum_pcls", "enum_ls",
-    "parse_graph_text", "load_graph", "format_graph",
+    "CommGraph", "PCLSContext", "LSContext", "parse_graph_text", "load_graph", "format_graph",
 ]
 
 
@@ -124,13 +123,3 @@ class LSContext(PCLSContext):
 
     def __init__(self, alphabet):
         super().__init__(alphabet, CommGraph.empty(alphabet))
-
-
-def enum_pcls(alphabet, graph, max_deg):
-    """Admissible words of degree at most max_deg, greatest first."""
-    return enumerate_basis(PCLSContext(alphabet, graph), max_deg, 0)
-
-
-def enum_ls(alphabet, max_deg):
-    """Lyndon-Shirshov basis words of the free Lie algebra, greatest first."""
-    return enumerate_basis(LSContext(alphabet), max_deg, 0)

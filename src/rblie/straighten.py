@@ -19,7 +19,11 @@ rule:
 
 Rules 5 and 6 are identities in any Lie algebra, rule 3 encodes the
 defining relations of the target, so the loop computes coordinates in
-the basis selected by the context's membership test.
+the basis selected by the context's membership test.  Since rule 4
+checks only the root, the loop takes its operands for basis words: the
+public `mult` and `mult_comb` check every operand word and raise
+ValueError on one that is not, while `evaluate` takes any word and
+straightens it through the unchecked internal `_mult_comb`.
 
 The basis is given by one recursive rule, `BasisContext.is_basis_word`:
 a generator of the alphabet is a basis word; R(w) is one when the
@@ -140,14 +144,23 @@ class BasisContext:
     def mult(self, u, v):
         """Product of two basis words as a combination over the basis.
 
-        The operands are not checked: rule 4 takes them for basis words.
+        Rule 4 takes the operands for basis words, so each is checked
+        first: ValueError names one that is not (`evaluate` takes any word).
         """
+        self._check_operands((u, v))
         return self._mult(u, v, _Fuel(self.fuel_limit))
 
     def mult_comb(self, x, y):
         """Bilinear product of combinations of basis words (words accepted
-        as singletons); like `mult`, it does not check its operands."""
-        return self._mult_comb(self.as_comb(x), self.as_comb(y), _Fuel(self.fuel_limit))
+        as singletons); like `mult`, it refuses a non-basis operand word."""
+        x, y = self.as_comb(x), self.as_comb(y)
+        self._check_operands((*x, *y))
+        return self._mult_comb(x, y, _Fuel(self.fuel_limit))
+
+    def _check_operands(self, words):
+        for w in words:
+            if not self.is_basis_word(w):
+                raise ValueError("not a basis word of this context: %s" % (w,))
 
     def as_comb(self, x):
         if isinstance(x, LinComb):

@@ -251,7 +251,7 @@ class Alphabet:
     @classmethod
     def from_spec(cls, spec):
         """Parse a comma-separated declaration like "a,b,c" (decreasing order)."""
-        return cls([p.strip() for p in spec.split(",") if p.strip()])
+        return cls([p.strip() for p in spec.split(",")])
 
     def gen(self, name):
         try:

@@ -14,7 +14,7 @@ from rblie.algebras import (
     parse_algebra_text,
     rb_residue,
 )
-from rblie.free_rb import FreeRBContext, enum_free_basis
+from rblie.free_rb import FreeRBContext
 from rblie.lincomb import LinComb
 from rblie.straighten import enumerate_basis
 from rblie.verify import check_derived
@@ -176,7 +176,7 @@ class TestDerivationExample:
 
 
 def _element_pairs(ab):
-    words = enum_free_basis(ab, 2, 1)
+    words = enumerate_basis(FreeRBContext(ab), 2, 1)
     singles = [LinComb.single(w) for w in words]
     mixed = singles[0] + 2 * singles[-1]
     return [(x, y) for x, y in itertools.product(singles + [mixed], repeat=2)]

@@ -10,16 +10,19 @@ pass it: a rotation test and a full re-check at every node.
 
 import glob
 import os
+import re
 
 import pytest
 
 from rblie.algebras import abelianize, load_algebra
 from rblie.enveloping import EnvContext
+from rblie.expr import format_lincomb, parse_word
 from rblie.free_rb import FreeRBContext
+from rblie.lincomb import LinComb
 from rblie.lyndon import ls_shape_ok
 from rblie.pcls import CommGraph, LSContext, PCLSContext
 from rblie.straighten import enumerate_basis
-from rblie.terms import Alphabet, Gen, RApp
+from rblie.terms import Alphabet, Br, Gen, RApp
 from rblie.verify import all_operator_words
 
 ABC = Alphabet(("a", "b", "c"))
@@ -108,3 +111,28 @@ def test_membership_and_enumeration_match_the_reference(label, make, reference,
     for w in words:
         assert ctx.is_basis_word(w) == (w in expected), w
     assert set(enumerate_basis(make(), max_deg, max_rdeg)) == expected
+
+
+class TestOperandsAreChecked:
+    """Rule 4 checks only the root of a product, so `mult` and `mult_comb`
+    refuse an operand that is not a basis word instead of answering with
+    a non-basis word; `evaluate` is the way in for arbitrary words."""
+
+    @pytest.mark.parametrize("left,right,value", [("[b,a]", "a", "[a,[a,b]]"),
+                                                  ("[[a,a],b]", "b", "0")],
+                             ids=["swapped-halves", "repeated-letter"])
+    def test_non_basis_operand_is_refused(self, left, right, value):
+        ctx = LSContext(AB)
+        u, v = parse_word(left, AB), parse_word(right, AB)
+        for call in (lambda: ctx.mult(u, v), lambda: ctx.mult(v, u),
+                     lambda: ctx.mult_comb(LinComb.single(u) + LinComb.single(v), v),
+                     lambda: ctx.mult_comb(v, u)):
+            with pytest.raises(ValueError, match=re.escape(left)):
+                call()
+        assert format_lincomb(ctx.evaluate(Br(u, v))) == value
+
+    def test_operator_word_is_refused_without_an_operator(self):
+        ctx = LSContext(AB)
+        a, b = AB.gens()
+        with pytest.raises(ValueError, match=re.escape("R(a)")):
+            ctx.mult(RApp(a), b)

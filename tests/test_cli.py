@@ -1,11 +1,13 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rblie.cli import main
+from rblie.cli import KINDS, main
 
 ONE_DIM = "demos/algebras/one_dim.alg"
 SO3 = "demos/algebras/so3_post.alg"
@@ -245,9 +247,51 @@ class TestFlagValidation:
                              "--graph", "no/such/file.graph", "--max-deg", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [("--kind", "ls"), ("--alphabet", "zz"),
+                                      ("--graph", PATH_GRAPH), ("--algebra", SO3),
+                                      ("--weight", "0"), ("--fuel", "5")],
+                             ids=lambda f: f[0])
+    def test_enum_oracles_takes_no_context_flag(self, capsys, flag):
+        # enum-oracles builds its own contexts, so a context flag would be ignored
+        code, out, err = run(capsys, "verify", "--property", "enum-oracles", *flag)
+        assert code == 2 and out == ""
+        assert err == "error: enum-oracles does not take %s\n" % flag[0]
+
+    def test_enum_oracles_ignores_corrupt_rule(self, capsys):
+        code, out, err = run(capsys, "verify", "--property", "enum-oracles", "--corrupt-rule")
+        assert code == 0 and out == "PASS enum-oracles checked=8\n"
+
+    @pytest.mark.parametrize("spec", ["a,,b", "a,b,"])
+    def test_empty_generator_name_is_refused(self, capsys, spec):
+        code, out, err = run(capsys, "basis", "--kind", "ls", "--alphabet", spec,
+                             "--max-deg", "2")
+        assert code == 2 and out == ""
+        assert err == "error: bad generator name ''\n"
+
+    def test_verify_refuses_rdeg_without_operator(self, capsys):
+        argv = ("verify", "--kind", "ls", "--alphabet", "a,b", "--property", "jacobi",
+                "--samples", "5")
+        code, out, err = run(capsys, *argv, "--max-rdeg", "5")
+        assert code == 2 and out == ""
+        assert err == "error: --max-rdeg applies to operator kinds only\n"
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == "PASS jacobi checked=5\n"
+
     def test_bad_property_choice_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
             main(["verify", "--kind", "ls", "--alphabet", "a", "--property", "nope"])
+
+
+def test_readme_kinds_table_matches_the_cli():
+    # each row: | `kind` | context | required flag | optional flags |
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and re.fullmatch(r"`[a-z-]+`", cells[0]):
+            flags = re.findall(r"`--([a-z]+)`", cells[2] + " " + cells[3])
+            rows[cells[0].strip("`")] = tuple(flags)
+    assert rows == KINDS
 
 
 class TestFuel:

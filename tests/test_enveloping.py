@@ -36,7 +36,7 @@ def env_so3():
 
 class TestConstruction:
     def test_weight_follows_kind(self, env):
-        assert env.weight == (0 if env.kind == "pre" else 1)
+        assert env.weight == (0 if env.algebra.kind == "pre" else 1)
 
     def test_lie_kind_rejected(self):
         bad = StructureAlgebra(("a", "b"), "lie", bracket={})
@@ -128,7 +128,7 @@ class TestCaseIdentities:
         for x, y in itertools.product(alg.names, repeat=2):
             raw = Br(env.alphabet.gen(x), env.alphabet.gen(y))
             got = env.evaluate(raw)
-            if env.kind == "post":
+            if env.algebra.kind == "post":
                 assert got == embed(env, alg.bracket.get((x, y), {})), (x, y)
             elif x != y:
                 # pre keeps the free bracket as a basis word

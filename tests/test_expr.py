@@ -138,3 +138,9 @@ def test_expr_print_parse_roundtrip(data):
     for w, c in terms:
         lc.iadd(w, c)
     assert parse_expr(format_lincomb(lc), al) == lc
+
+
+def test_lincomb_is_unhashable():
+    # a mutable dict subclass; dict's own __hash__ = None keeps it out of sets
+    with pytest.raises(TypeError):
+        hash(LinComb())

@@ -16,8 +16,9 @@ import pytest
 from oracles import all_bracketings, expand, expand_comb, necklace_count
 from rblie.expr import parse_word
 from rblie.lincomb import LinComb
-from rblie.lyndon import is_assoc_ls, is_ls, standard_bracketing
-from rblie.pcls import LSContext, enum_ls
+from rblie.lyndon import is_assoc_ls, ls_shape_ok, standard_bracketing
+from rblie.pcls import LSContext
+from rblie.straighten import enumerate_basis
 from rblie.terms import Alphabet, Br, atoms
 
 
@@ -77,7 +78,7 @@ class TestStandardBracketing:
         # bracketing; LS sequences get exactly one admissible bracketing
         for n in range(1, 7):
             for letters in itertools.product(ab.gens(), repeat=n):
-                admissible = [w for w in all_bracketings(letters) if is_ls(w)]
+                admissible = [w for w in all_bracketings(letters) if ls_shape_ok(w)]
                 if is_assoc_ls(letters):
                     assert admissible == [standard_bracketing(letters)]
                 else:
@@ -86,14 +87,14 @@ class TestStandardBracketing:
     def test_exhaustive_three_letters(self, abc):
         for n in range(1, 6):
             for letters in itertools.product(abc.gens(), repeat=n):
-                admissible = [w for w in all_bracketings(letters) if is_ls(w)]
+                admissible = [w for w in all_bracketings(letters) if ls_shape_ok(w)]
                 if is_assoc_ls(letters):
                     assert admissible == [standard_bracketing(letters)]
                 else:
                     assert admissible == []
 
     def test_flatten_then_bracket_is_identity(self, ab):
-        for w in enum_ls(ab, 6):
+        for w in enumerate_basis(LSContext(ab), 6):
             assert standard_bracketing(atoms(w)) == w
 
 
@@ -112,46 +113,47 @@ class TestIsLS:
             ("[[a,[a,b]],[a,b]]", True),
         ],
     )
-    def test_examples(self, ab, text, want):
-        assert is_ls(parse_word(text, ab)) is want
+    def test_examples(self, ctx, ab, text, want):
+        assert ls_shape_ok(parse_word(text, ab)) is want
+        assert ctx.is_basis_word(parse_word(text, ab)) is want
 
-    def test_operator_letters_are_not_plain_ls(self, ab):
-        assert not is_ls(parse_word("R(a)", ab))
-        assert not is_ls(parse_word("[R(a),a]", ab))
+    def test_operator_letters_are_not_plain_ls(self, ctx, ab):
+        assert not ctx.is_basis_word(parse_word("R(a)", ab))
+        assert not ctx.is_basis_word(parse_word("[R(a),a]", ab))
 
 
 class TestEnumeration:
     def test_counts_match_necklace_formula_two_letters(self, ab):
-        by_deg = Counter(w.deg for w in enum_ls(ab, 6))
+        by_deg = Counter(w.deg for w in enumerate_basis(LSContext(ab), 6))
         assert [by_deg[n] for n in range(1, 7)] == [2, 1, 2, 3, 6, 9]
         for n in range(1, 7):
             assert by_deg[n] == necklace_count(2, n)
 
     def test_counts_match_necklace_formula_three_letters(self, abc):
-        by_deg = Counter(w.deg for w in enum_ls(abc, 6))
+        by_deg = Counter(w.deg for w in enumerate_basis(LSContext(abc), 6))
         assert [by_deg[n] for n in range(1, 7)] == [3, 3, 8, 18, 48, 116]
         for n in range(1, 7):
             assert by_deg[n] == necklace_count(3, n)
 
     def test_enumeration_equals_filtering(self, ab):
-        got = set(enum_ls(ab, 6))
+        got = set(enumerate_basis(LSContext(ab), 6))
         brute = set()
         for n in range(1, 7):
             for letters in itertools.product(ab.gens(), repeat=n):
                 for w in all_bracketings(letters):
-                    if is_ls(w):
+                    if ls_shape_ok(w):
                         brute.add(w)
         assert got == brute
 
     def test_output_sorted_descending(self, ab):
-        words = enum_ls(ab, 5)
+        words = enumerate_basis(LSContext(ab), 5)
         from rblie.terms import total_cmp
 
         for x, y in zip(words, words[1:]):
             assert total_cmp(x, y) > 0
 
     def test_degree_three_list(self, ab):
-        assert [str(w) for w in enum_ls(ab, 3)] == [
+        assert [str(w) for w in enumerate_basis(LSContext(ab), 3)] == [
             "a",
             "[a,[a,b]]",
             "[a,b]",
@@ -169,7 +171,7 @@ class TestProduct:
 
     def test_matches_tensor_envelope(self, ctx, ab):
         # the absolute check: straightened products expand to uv - vu
-        words = enum_ls(ab, 5)
+        words = enumerate_basis(LSContext(ab), 5)
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
@@ -178,7 +180,7 @@ class TestProduct:
             assert got == pu * pv - pv * pu, (u, v)
 
     def test_anticommutativity(self, ctx, ab):
-        words = enum_ls(ab, 5)
+        words = enumerate_basis(LSContext(ab), 5)
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
@@ -186,11 +188,11 @@ class TestProduct:
             assert total.is_zero, (u, v)
 
     def test_self_product_is_zero(self, ctx, ab):
-        for w in enum_ls(ab, 5):
+        for w in enumerate_basis(LSContext(ab), 5):
             assert ctx.mult_comb(w, w).is_zero
 
     def test_jacobi(self, ctx, ab):
-        words = enum_ls(ab, 6)
+        words = enumerate_basis(LSContext(ab), 6)
         for u, v, w in itertools.product(words, repeat=3):
             if u.deg + v.deg + w.deg > 8:
                 continue
@@ -200,7 +202,7 @@ class TestProduct:
             assert total.is_zero, (u, v, w)
 
     def test_outputs_stay_in_basis_and_are_homogeneous(self, ctx, ab):
-        words = enum_ls(ab, 5)
+        words = enumerate_basis(LSContext(ab), 5)
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue

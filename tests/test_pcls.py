@@ -17,12 +17,11 @@ from rblie.pcls import (
     CommGraph,
     LSContext,
     PCLSContext,
-    enum_ls,
-    enum_pcls,
     format_graph,
     load_graph,
     parse_graph_text,
 )
+from rblie.straighten import enumerate_basis
 from rblie.terms import Alphabet
 
 
@@ -125,19 +124,19 @@ class TestMembership:
 
 class TestEnumeration:
     def test_single_edge_degree_two(self, abc, edge_ab):
-        got = [str(w) for w in enum_pcls(abc, edge_ab, 2)]
+        got = [str(w) for w in enumerate_basis(PCLSContext(abc, edge_ab), 2)]
         assert got == ["a", "[a,c]", "b", "[b,c]", "c"]
 
     def test_complete_graph_keeps_letters_only(self, abc):
-        got = enum_pcls(abc, CommGraph.complete(abc), 5)
+        got = enumerate_basis(PCLSContext(abc, CommGraph.complete(abc)), 5)
         assert got == list(abc.gens())
 
     def test_empty_graph_matches_free_basis(self, abc):
-        assert enum_pcls(abc, CommGraph.empty(abc), 5) == enum_ls(abc, 5)
+        assert enumerate_basis(PCLSContext(abc, CommGraph.empty(abc)), 5) == enumerate_basis(LSContext(abc), 5)
 
     def test_admissible_words_shrink_with_edges(self, abc, path_abc):
-        free = set(enum_ls(abc, 4))
-        constrained = set(enum_pcls(abc, path_abc, 4))
+        free = set(enumerate_basis(LSContext(abc), 4))
+        constrained = set(enumerate_basis(PCLSContext(abc, path_abc), 4))
         assert constrained < free
 
 
@@ -158,7 +157,7 @@ class TestProduct:
     def test_empty_graph_agrees_with_free_product(self, abc):
         pctx = PCLSContext(abc, CommGraph.empty(abc))
         lctx = LSContext(abc)
-        words = enum_ls(abc, 4)
+        words = enumerate_basis(LSContext(abc), 4)
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
@@ -185,7 +184,7 @@ class TestIdentities:
         def commutes(x, y):
             return graph.adjacent(x.name, y.name)
 
-        words = enumerate_words(graph_ctx, 5)
+        words = enumerate_basis(graph_ctx, 5)
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
@@ -195,7 +194,7 @@ class TestIdentities:
             assert got == (pu * pv - pv * pu).normalized(commutes), (u, v)
 
     def test_anticommutativity(self, abc, graph_ctx):
-        words = enumerate_words(graph_ctx, 6)
+        words = enumerate_basis(graph_ctx, 6)
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 7:
                 continue
@@ -203,7 +202,7 @@ class TestIdentities:
             assert total.is_zero, (u, v)
 
     def test_jacobi(self, abc, graph_ctx):
-        words = enumerate_words(graph_ctx, 5)
+        words = enumerate_basis(graph_ctx, 5)
         for u, v, w in itertools.product(words, repeat=3):
             if u.deg + v.deg + w.deg > 7:
                 continue
@@ -213,14 +212,10 @@ class TestIdentities:
             assert total.is_zero, (u, v, w)
 
     def test_closure(self, abc, graph_ctx):
-        words = enumerate_words(graph_ctx, 4)
+        words = enumerate_basis(graph_ctx, 4)
         for u, v in itertools.product(words, repeat=2):
             if u.deg + v.deg > 6:
                 continue
             for w in graph_ctx.mult_comb(u, v):
                 assert graph_ctx.is_basis_word(w)
                 assert w.deg == u.deg + v.deg
-
-
-def enumerate_words(ctx, max_deg):
-    return enum_pcls(ctx.alphabet, ctx.graph, max_deg)

@@ -38,6 +38,11 @@ class TestAlphabet:
         al = Alphabet.from_spec("x, y,z")
         assert [g.name for g in al.gens()] == ["x", "y", "z"]
 
+    @pytest.mark.parametrize("spec", ["a,,b", "a,b,", ",a", "a, ,b"])
+    def test_from_spec_refuses_empty_names(self, spec):
+        with pytest.raises(ValueError, match="bad generator name ''"):
+            Alphabet.from_spec(spec)
+
     def test_r_is_reserved(self):
         with pytest.raises(ValueError):
             Alphabet(("a", "R"))
