@@ -37,6 +37,9 @@ KINDS = {
     "env-post": ("algebra",),
 }
 CONTEXT_FLAGS = ("kind", "alphabet", "graph", "algebra", "weight", "fuel")
+# verify's bounds and the values they take when not given; they default to
+# None so that enum-oracles, which fixes its own bounds, can refuse them
+VERIFY_BOUNDS = {"max_deg": 3, "max_rdeg": 2, "samples": 200, "seed": 1}
 
 
 class UsageError(Exception):
@@ -54,10 +57,10 @@ def _add_context_flags(sub):
                      help="rewrite-step budget for each operand and for the product")
 
 
-def _refuse_flags(args, allowed, owner):
-    for flag in CONTEXT_FLAGS:
+def _refuse_flags(args, allowed, owner, flags=CONTEXT_FLAGS):
+    for flag in flags:
         if flag not in allowed and getattr(args, flag) is not None:
-            raise UsageError("%s does not take --%s" % (owner, flag))
+            raise UsageError("%s does not take --%s" % (owner, flag.replace("_", "-")))
 
 
 def _build_context(args):
@@ -98,7 +101,7 @@ def _check_bounds(args, ctx):
     """Refuse a negative bound, and --max-rdeg on a context without an operator."""
     if args.max_rdeg and ctx is not None and not ctx.supports_operator:
         raise UsageError("--max-rdeg applies to operator kinds only")
-    if args.max_deg < 0 or (args.max_rdeg or 0) < 0:
+    if (args.max_deg or 0) < 0 or (args.max_rdeg or 0) < 0:
         raise UsageError("--max-deg and --max-rdeg must not be negative")
 
 
@@ -142,24 +145,26 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
     ctx = None
     if args.property == "enum-oracles":
-        _refuse_flags(args, (), "enum-oracles")
+        _refuse_flags(args, (), "enum-oracles", CONTEXT_FLAGS + tuple(VERIFY_BOUNDS))
     else:
+        if args.samples is not None and args.samples < 1:
+            raise UsageError("--samples must be positive")
         ctx = _build_context(args)
         if args.corrupt_rule:
             ctx.corrupt_sign = True
-    _check_bounds(args, ctx)
-    max_rdeg = 2 if args.max_rdeg is None else args.max_rdeg
-    report = run_property(args.property, ctx, seed=args.seed, count=args.samples,
-                          max_deg=args.max_deg, max_rdeg=max_rdeg)
+        _check_bounds(args, ctx)
+    max_deg, max_rdeg, samples, seed = (
+        default if getattr(args, flag) is None else getattr(args, flag)
+        for flag, default in VERIFY_BOUNDS.items())
+    report = run_property(args.property, ctx, seed=seed, count=samples,
+                          max_deg=max_deg, max_rdeg=max_rdeg)
     if not report.checked:
         raise UsageError("%s checked nothing; widen the bounds" % report.name)
     print(report.line())
     if args.property == "pbw" and report.passed:
-        _print_counts(ctx, args.max_deg, max_rdeg)
+        _print_counts(ctx, max_deg, max_rdeg)
     return 0 if report.passed else 1
 
 
@@ -201,10 +206,10 @@ def build_parser():
     p = subs.add_parser("verify", help="run a property check and report PASS/FAIL")
     _add_context_flags(p)
     p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--max-deg", type=int, default=3)
+    p.add_argument("--max-deg", type=int, default=None)
     p.add_argument("--max-rdeg", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--corrupt-rule", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 

@@ -114,14 +114,14 @@ class _Parser:
             if den == 0:
                 raise ExprError("zero denominator", dtok[2])
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def parse_term(self):
         if self.peek()[0] == "int":
             coeff = self.parse_rational()
             self.take("*")
             return coeff, self.parse_word()
-        return Fraction(1), self.parse_word()
+        return 1, self.parse_word()
 
     def parse_expr(self):
         out = LinComb()

@@ -2,7 +2,9 @@
 
 LinComb maps hashable keys (Words, or basis names of a finite-dimensional
 algebra) to nonzero ints or Fractions; a key whose coefficient becomes zero
-is removed, so equality of combinations is plain dict equality.
+is removed, so equality of combinations is plain dict equality.  An
+integral coefficient is always stored as an int, never as a Fraction with
+denominator 1, so integral work stays in int arithmetic.
 """
 
 from __future__ import annotations
@@ -30,12 +32,20 @@ class LinComb(dict):
 
     def iadd(self, key, coeff):
         """In-place key += coeff; internal builder, do not mutate shared values."""
-        if not isinstance(coeff, (int, Fraction)):
-            coeff = Fraction(coeff)
-        c = self.get(key, 0) + coeff
+        old = self.get(key)
+        if type(coeff) is int:
+            # a stored value is an int or a Fraction that is not integral,
+            # and adding an int to either leaves it so
+            c = coeff if old is None else old + coeff
+        else:
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
+            c = coeff if old is None else old + coeff
+            if c.denominator == 1:
+                c = c.numerator
         if c:
             dict.__setitem__(self, key, c)
-        elif key in self:
+        elif old is not None:
             dict.__delitem__(self, key)
         return self
 
@@ -68,7 +78,10 @@ class LinComb(dict):
         out = LinComb()
         if factor:
             for key, coeff in self.items():
-                dict.__setitem__(out, key, coeff * factor)
+                c = coeff * factor
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                dict.__setitem__(out, key, c)
         return out
 
     @property

@@ -42,11 +42,13 @@ use this one rule.  One bidegree table, `bidegree_words`, serves both
 Termination is guarded by fuel.  Each call of `mult`, `mult_comb` or
 `evaluate` gets one budget of `fuel_limit` rewriting steps (default one
 million) and spends it on all the products the call makes: the whole
-bilinear expansion of `mult_comb`'s operands, and every bracket node of
-the expression `evaluate` is given.  Only products computed afresh cost
-a step; memo hits are free, so whether a call runs out of fuel depends
-on how much of its work the memo already holds.  A product whose
-expansion needs itself raises a cyclic FuelError.
+bilinear expansion of `mult_comb`'s operands, and every bracket node
+that is not already a basis word in the expression `evaluate` is given
+(a basis word evaluates to the context's own copy of itself, with no
+product).  Only products computed afresh cost a step; memo hits are
+free, so whether a call runs out of fuel depends on how much of its work
+the memo already holds.  A product whose expansion needs itself raises a
+cyclic FuelError.
 
 Results are memoized per context; entries are pure values, so threads
 may share one context: duplicate writes are idempotent, and the
@@ -101,22 +103,25 @@ class BasisContext:
     def __init__(self, alphabet):
         self.alphabet = alphabet
         self._memo = {}
+        # word -> the context's own copy of it, or False if it is not a basis word
         self._basis_cache = {}
 
     # -- basis membership -------------------------------------------------
 
     def is_basis_word(self, w):
-        cached = self._basis_cache.get(w)
-        if cached is None:
+        own = self._basis_cache.get(w)
+        if own is None:
             if isinstance(w, Gen):
-                cached = w in self.alphabet
+                ok = w in self.alphabet
             elif isinstance(w, RApp):
-                cached = self.supports_operator and self.is_basis_word(w.arg)
+                ok = self.supports_operator and self.is_basis_word(w.arg)
             else:
-                cached = (self.is_basis_word(w.left) and self.is_basis_word(w.right)
-                          and self.bracket_ok(w.left, w.right))
-            self._basis_cache[w] = cached
-        return cached
+                ok = (self.is_basis_word(w.left) and self.is_basis_word(w.right)
+                      and self.bracket_ok(w.left, w.right))
+            # the first equal basis word stored is the context's own copy;
+            # setdefault, so that threads agree on one
+            own = self._basis_cache.setdefault(w, w if ok else False)
+        return own is not False
 
     # -- hooks -------------------------------------------------------------
 
@@ -183,8 +188,10 @@ class BasisContext:
         """Interpret a raw word (or combination) in this basis.
 
         Brackets become products, operator nodes become the operator; the
-        result is the canonical combination of basis words.  Basis words
-        evaluate to themselves.  One fuel budget covers the whole of x.
+        result is the canonical combination of basis words.  A basis word
+        evaluates to the context's own copy of itself, with no product.
+        One fuel budget covers the whole of x: it is spent on every bracket
+        node that is not already a basis word.
         """
         return self._evaluate(x, _Fuel(self.fuel_limit))
 
@@ -194,10 +201,15 @@ class BasisContext:
             for w, c in x.items():
                 out.iadd_comb(self._evaluate(w, fuel), c)
             return out
+        own = self._basis_cache.get(x)
+        if own is None:
+            self.is_basis_word(x)  # decides x and stores the answer
+            own = self._basis_cache[x]
+        if own is not False:
+            # the own copy, so that results do not keep the parsed tree alive
+            return LinComb.single(own)
         if isinstance(x, Gen):
-            if x not in self.alphabet:
-                raise ValueError("generator %r not in this context" % x.name)
-            return LinComb.single(x)
+            raise ValueError("generator %r not in this context" % x.name)
         if isinstance(x, RApp):
             return self.apply_r(self._evaluate(x.arg, fuel))
         return self._mult_comb(self._evaluate(x.left, fuel), self._evaluate(x.right, fuel), fuel)

@@ -136,3 +136,30 @@ class TestOperandsAreChecked:
         a, b = AB.gens()
         with pytest.raises(ValueError, match=re.escape("R(a)")):
             ctx.mult(RApp(a), b)
+
+
+# `evaluate` returns a basis word as it is, without a product, which is
+# right only if no letter rule resolves the product of a basis word's halves
+SHORTCUT_CASES = [c[:2] for c in CASES
+                  if c[0] in ("ls", "pcls-path", "free-rb-w0", "free-rb-w1")
+                  or c[0].endswith(".alg")]
+
+
+@pytest.mark.parametrize("label,make", SHORTCUT_CASES, ids=[c[0] for c in SHORTCUT_CASES])
+class TestBasisWordsEvaluateToThemselves:
+
+    def test_halves_multiply_back_to_the_word(self, label, make):
+        brackets = [w for w in enumerate_basis(make(), 4, 2) if isinstance(w, Br)]
+        assert brackets
+        ctx = make()
+        for w in brackets:
+            assert ctx.mult(w.left, w.right) == {w: 1}, w
+
+    def test_evaluate_returns_the_own_copy_without_fuel(self, label, make):
+        ctx = make()
+        words = enumerate_basis(ctx, 4, 2)
+        assert all(ctx.is_basis_word(w) for w in words)
+        ctx.fuel_limit = 1
+        for w in words:
+            ((value, coeff),) = ctx.evaluate(parse_word(str(w), ctx.alphabet)).items()
+            assert value is w and coeff == 1, w

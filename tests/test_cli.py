@@ -249,10 +249,13 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize("flag", [("--kind", "ls"), ("--alphabet", "zz"),
                                       ("--graph", PATH_GRAPH), ("--algebra", SO3),
-                                      ("--weight", "0"), ("--fuel", "5")],
+                                      ("--weight", "0"), ("--fuel", "5"),
+                                      ("--max-deg", "9"), ("--max-rdeg", "4"),
+                                      ("--samples", "3"), ("--seed", "5")],
                              ids=lambda f: f[0])
     def test_enum_oracles_takes_no_context_flag(self, capsys, flag):
-        # enum-oracles builds its own contexts, so a context flag would be ignored
+        # enum-oracles builds its own contexts and bounds, so any of these
+        # flags would be ignored
         code, out, err = run(capsys, "verify", "--property", "enum-oracles", *flag)
         assert code == 2 and out == ""
         assert err == "error: enum-oracles does not take %s\n" % flag[0]
@@ -302,9 +305,12 @@ class TestFuel:
         assert "fuel" in err
 
     def test_reduce_spends_one_budget_on_the_whole_expression(self, capsys):
-        # each bracket node alone fits in 3 steps; all of them together do not
-        code, out, err = run(capsys, "reduce", "--kind", "free-rb", "--alphabet", "a,b",
-                             "--fuel", "3", "[R(a),[R(a),b]] + [R(b),[R(a),b]]")
+        # neither bracket node is a basis word (its halves are in the wrong
+        # order), and each alone fits in 3 steps; the two together do not
+        argv = ("reduce", "--kind", "free-rb", "--alphabet", "a,b", "--fuel", "3")
+        for node in ("[a,R(b)]", "[b,R(a)]"):
+            assert run(capsys, *argv, node)[0] == 0
+        code, out, err = run(capsys, *argv, "[a,R(b)] + [b,R(a)]")
         assert code == 3
         assert "fuel" in err
 

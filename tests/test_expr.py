@@ -68,6 +68,11 @@ class TestParseExpr:
         assert got[al.gen("a")] == -2
         assert got[al.gen("b")] == 1
 
+    def test_integral_coefficients_are_int(self, al):
+        got = parse_expr("2*a + 1/2*b + 4/2*b", al)
+        assert type(got[al.gen("a")]) is int
+        assert got[al.gen("b")] == Fraction(5, 2)
+
     def test_like_terms_merge(self, al):
         got = parse_expr("a + a - 2*a", al)
         assert got == LinComb()

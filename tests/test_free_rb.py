@@ -161,6 +161,12 @@ class TestCoefficients:
         assert type(comb.scaled(0.5)["x"]) is Fraction
         assert comb.scaled(0) == {}
 
+    def test_integral_fractions_are_stored_as_int(self):
+        halves = LinComb.single("x", Fraction(1, 2)).iadd("x", Fraction(1, 2))
+        assert halves == {"x": 1} and type(halves["x"]) is int
+        doubled = LinComb.single("x", 3).scaled(Fraction(2))
+        assert doubled == {"x": 6} and type(doubled["x"]) is int
+
 
 class TestIdentitiesExhaustive:
     # the small box is checked in full; larger boxes are sampled below
