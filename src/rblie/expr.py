@@ -43,9 +43,10 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() takes exactly these digits (not '²')
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(("int", text[i:j], i))
             i = j

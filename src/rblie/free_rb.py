@@ -45,5 +45,5 @@ class FreeRBContext(BasisContext):
             inner = self._mult(u, v.arg, fuel) + self._mult(u.arg, v, fuel)
             if self.weight:
                 inner.iadd_comb(self._mult(u.arg, v.arg, fuel))
-            return self.apply_r(inner)
+            return self._apply_r(inner)
         return None

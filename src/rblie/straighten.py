@@ -21,9 +21,20 @@ Rules 5 and 6 are identities in any Lie algebra, rule 3 encodes the
 defining relations of the target, so the loop computes coordinates in
 the basis selected by the context's membership test.  Since rule 4
 checks only the root, the loop takes its operands for basis words: the
-public `mult` and `mult_comb` check every operand word and raise
-ValueError on one that is not, while `evaluate` takes any word and
-straightens it through the unchecked internal `_mult_comb`.
+public `mult`, `mult_comb` and `apply_r` check every operand word and
+raise ValueError on one that is not (R of a non-basis word is not a
+basis word either), while `evaluate` takes any word and straightens it
+through the unchecked internal `_mult_comb` and `_apply_r`, as the
+letter rules do.
+
+A context keeps one copy of each word it builds.  Its basis cache maps a
+basis word to the context's own copy of it, the first equal word stored;
+rule 4 stores the bracket it makes there and returns the stored copy,
+and the operator goes through a per-context map from a basis word w to
+the own copy of R(w), also stored in the basis cache.  So equal words
+that the engine makes are one object: later lookups of them are
+identity hits, and the memo does not hold a copy per product that made
+one.
 
 The basis is given by one recursive rule, `BasisContext.is_basis_word`:
 a generator of the alphabet is a basis word; R(w) is one when the
@@ -105,6 +116,8 @@ class BasisContext:
         self._memo = {}
         # word -> the context's own copy of it, or False if it is not a basis word
         self._basis_cache = {}
+        # basis word -> the own copy of R(word)
+        self._r_of = {}
 
     # -- basis membership -------------------------------------------------
 
@@ -175,13 +188,27 @@ class BasisContext:
         raise TypeError("expected Word or LinComb, got %r" % (x,))
 
     def apply_r(self, x):
-        """Wrap every word of x with the operator (basis words stay basis words)."""
+        """Wrap every word of x with the operator (basis words stay basis words).
+
+        Like `mult`, it refuses a word of x that is not a basis word: R of
+        one is not a basis word either.
+        """
         if not self.supports_operator:
             raise ValueError("this basis has no operator")
         x = self.as_comb(x)
+        self._check_operands(x)
+        return self._apply_r(x)
+
+    def _apply_r(self, x):
         out = LinComb()
+        r_of = self._r_of
         for w, c in x.items():
-            out.iadd(RApp(w), c)
+            r = r_of.get(w)
+            if r is None:
+                r = RApp(w)
+                r = r_of.setdefault(w, self._basis_cache.setdefault(r, r))
+            # distinct words have distinct R-images, so no term adds to another
+            dict.__setitem__(out, r, c)
         return out
 
     def evaluate(self, x):
@@ -211,7 +238,10 @@ class BasisContext:
         if isinstance(x, Gen):
             raise ValueError("generator %r not in this context" % x.name)
         if isinstance(x, RApp):
-            return self.apply_r(self._evaluate(x.arg, fuel))
+            arg = self._evaluate(x.arg, fuel)
+            if not self.supports_operator:
+                raise ValueError("this basis has no operator")
+            return self._apply_r(arg)
         return self._mult_comb(self._evaluate(x.left, fuel), self._evaluate(x.right, fuel), fuel)
 
     # -- engine ------------------------------------------------------------
@@ -250,7 +280,8 @@ class BasisContext:
             if direct is not None:
                 return direct
         if self.bracket_ok(u, v):
-            return LinComb.single(Br(u, v))
+            w = Br(u, v)
+            return LinComb.single(self._basis_cache.setdefault(w, w))
         if isinstance(u, Br):
             first = self._comb_times_word(self._mult(u.left, v, fuel), u.right, fuel)
             second = self._word_times_comb(u.left, self._mult(u.right, v, fuel), fuel)

@@ -27,6 +27,24 @@ Three size measures on a word w:
     enumeration up to a bound finite: there are infinitely many words
     with deg 1 (every R(z) has deg 1) but only finitely many with
     bounded xdeg and degr.
+
+A word is a float whose value is its structural hash (the hash of its
+kind and parts, cut to 53 bits so that the float holds it exactly).
+That is the only reason for the base: each class sets
+`__hash__ = float.__hash__`, so every memo, cache and combination lookup
+hashes a word in C, without a Python call and without a table of words
+that would keep them alive.  Equality stays structural (two words built
+apart are equal when their trees are), and nothing else of float shows:
+
+  * `<`, `<=`, `>`, `>=` (hence `sorted` without a key) and arithmetic
+    raise TypeError, as does `Fraction(w)`; order words with
+    `compare_words` or `total_cmp`;
+  * `bool(w)` is True, whatever the value;
+  * `copy`, `deepcopy` and `pickle` rebuild a word from its parts;
+  * a word equals no int or float, even one of its own value.  A
+    Fraction, complex or Decimal on the left of `==` reads the value of
+    any float, so only there can a word compare equal to a number: to
+    the one number, below 2**53, that is its hash.
 """
 
 from __future__ import annotations
@@ -43,16 +61,39 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-class Word:
-    """Base class; instances are immutable and hashable."""
+# A word's float value: its structural hash, cut to 53 bits so that the
+# float holds it exactly and float.__hash__ gives it back unchanged.  All
+# of float(h) would round away h's low bits, and dicts index by low bits.
+_HASH_MASK = (1 << 53) - 1
 
-    __slots__ = ("deg", "degr", "xdeg", "_hash", "_atoms")
 
-    def __eq__(self, other):
-        raise NotImplementedError
+def _refuse(self, *args):
+    raise TypeError("words have no order and no arithmetic")
 
-    def __hash__(self):
-        return self._hash
+
+class Word(float):
+    """Base class; instances are immutable and hashable.
+
+    Equality is structural; see the module docstring for why a word is
+    a float and what of float it refuses.  Each subclass that defines
+    `__eq__` sets `__hash__ = float.__hash__` again, because defining
+    `__eq__` resets it.
+    """
+
+    __slots__ = ("deg", "degr", "xdeg", "_atoms")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _refuse
+    __mod__ = __rmod__ = __divmod__ = __rdivmod__ = __pow__ = __rpow__ = _refuse
+    __neg__ = __pos__ = __abs__ = as_integer_ratio = _refuse
+
+    def __ne__(self, other):
+        # float's own != would compare the hashes
+        return not self == other
+
+    def __bool__(self):
+        return True
 
     def __repr__(self):
         return str(self)
@@ -63,26 +104,25 @@ class Gen(Word):
 
     __slots__ = ("name", "rank")
 
-    def __init__(self, name, rank):
+    def __new__(cls, name, rank):
+        self = float.__new__(cls, hash(("g", name, rank)) & _HASH_MASK)
         self.name = name
         self.rank = rank
         self.deg = 1
         self.degr = 0
         self.xdeg = 1
         self._atoms = None
-        self._hash = hash(("g", name, rank))
+        return self
+
+    def __getnewargs__(self):
+        return (self.name, self.rank)
 
     def __eq__(self, other):
         if self is other:
             return True
-        return (
-            type(other) is Gen
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.rank == other.rank
-        )
+        return type(other) is Gen and self.name == other.name and self.rank == other.rank
 
-    __hash__ = Word.__hash__
+    __hash__ = float.__hash__
 
     def __str__(self):
         return self.name
@@ -93,22 +133,27 @@ class RApp(Word):
 
     __slots__ = ("arg",)
 
-    def __init__(self, arg):
+    def __new__(cls, arg):
         if not isinstance(arg, Word):
             raise TypeError("R argument must be a Word")
+        self = float.__new__(cls, hash(("R", arg)) & _HASH_MASK)
         self.arg = arg
         self.deg = 1
         self.degr = 1 + arg.degr
         self.xdeg = arg.xdeg
         self._atoms = None
-        self._hash = hash(("R", arg))
+        return self
+
+    def __getnewargs__(self):
+        return (self.arg,)
 
     def __eq__(self, other):
         if self is other:
             return True
-        return type(other) is RApp and self._hash == other._hash and self.arg == other.arg
+        return (type(other) is RApp and hash(self) == hash(other)
+                and (self.arg is other.arg or self.arg == other.arg))
 
-    __hash__ = Word.__hash__
+    __hash__ = float.__hash__
 
     def __str__(self):
         return "R(%s)" % self.arg
@@ -119,28 +164,32 @@ class Br(Word):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
+    def __new__(cls, left, right):
         if not isinstance(left, Word) or not isinstance(right, Word):
             raise TypeError("bracket halves must be Words")
+        self = float.__new__(cls, hash(("b", left, right)) & _HASH_MASK)
         self.left = left
         self.right = right
         self.deg = left.deg + right.deg
         self.degr = left.degr + right.degr
         self.xdeg = left.xdeg + right.xdeg
         self._atoms = None
-        self._hash = hash(("b", left, right))
+        return self
+
+    def __getnewargs__(self):
+        return (self.left, self.right)
 
     def __eq__(self, other):
         if self is other:
             return True
         return (
             type(other) is Br
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
+            and hash(self) == hash(other)
+            and (self.left is other.left or self.left == other.left)
+            and (self.right is other.right or self.right == other.right)
         )
 
-    __hash__ = Word.__hash__
+    __hash__ = float.__hash__
 
     def __str__(self):
         return "[%s,%s]" % (self.left, self.right)

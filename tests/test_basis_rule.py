@@ -131,6 +131,16 @@ class TestOperandsAreChecked:
                 call()
         assert format_lincomb(ctx.evaluate(Br(u, v))) == value
 
+    def test_apply_r_refuses_a_non_basis_word(self):
+        # R of a word that is not a basis word is not one either
+        ctx = FreeRBContext(AB)
+        a, b = AB.gens()
+        with pytest.raises(ValueError, match=re.escape("[b,a]")):
+            ctx.apply_r(Br(b, a))
+        with pytest.raises(ValueError, match=re.escape("[b,a]")):
+            ctx.apply_r(LinComb.single(Br(a, b)) + LinComb.single(Br(b, a)))
+        assert format_lincomb(ctx.evaluate(RApp(Br(b, a)))) == "-R([a,b])"
+
     def test_operator_word_is_refused_without_an_operator(self):
         ctx = LSContext(AB)
         a, b = AB.gens()

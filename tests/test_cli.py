@@ -92,6 +92,12 @@ class TestMul:
         assert code == 2
         assert "offset 3" in err
 
+    def test_non_decimal_digit_is_a_syntax_error(self, capsys):
+        code, out, err = run(capsys, "mul", "--kind", "ls",
+                             "--alphabet", "a,b", "\u00b2*a", "b")
+        assert code == 2 and out == ""
+        assert err == "error: unexpected character '\u00b2' at offset 0\n"
+
     def test_syntax_error_offset(self, capsys):
         code, out, err = run(capsys, "reduce", "--kind", "ls",
                              "--alphabet", "a,b", "[a,")

@@ -85,6 +85,14 @@ class TestParseExpr:
         with pytest.raises(ExprError):
             parse_expr("2 a", al)
 
+    @pytest.mark.parametrize("text,offset", [("\u00b2*a", 0), ("1\u00b2*a", 1)],
+                             ids=["superscript", "after-a-digit"])
+    def test_non_decimal_digit_is_refused_with_its_offset(self, al, text, offset):
+        # str.isdigit accepts '²', int() does not
+        with pytest.raises(ExprError, match="unexpected character '\u00b2' at offset %d"
+                           % offset):
+            parse_expr(text, al)
+
 
 class TestFormat:
     def test_word_roundtrip_examples(self, al):

@@ -19,7 +19,7 @@ from rblie.free_rb import FreeRBContext
 from rblie.lincomb import LinComb
 from rblie.straighten import FuelError, enumerate_basis
 from rblie.terms import Alphabet, Br, Gen, RApp, total_cmp
-from rblie.verify import check_jacobi, sample_basis
+from rblie.verify import check_derived, check_jacobi, sample_basis
 
 
 @pytest.fixture
@@ -250,6 +250,35 @@ class TestDerivedLaws:
             if weight:
                 total += dot(m(x, y), z)
             assert total.is_zero, (u, v, w)
+
+
+class TestOwnCopies:
+    """A context hands out one copy of each word it builds: rule 4's
+    brackets and the operator's R-letters are registered in its basis
+    cache, which `evaluate` answers from."""
+
+    @pytest.mark.parametrize("left,right", [("R(a)", "[R(b),a]"), ("R([a,b])", "R(b)")])
+    def test_product_words_are_what_evaluate_returns(self, ctx1, ab, left, right):
+        got = ctx1.mult(parse_word(left, ab), parse_word(right, ab))
+        assert len(got) >= 3
+        for w in got:
+            ((value, coeff),) = ctx1.evaluate(parse_word(str(w), ab)).items()
+            assert value is w and coeff == 1, w
+
+    def test_apply_r_returns_the_same_letters(self, ctx1, ab):
+        x = LinComb(((w, 1) for w in enumerate_basis(ctx1, 2, 1)))
+        first, second = ctx1.apply_r(x), ctx1.apply_r(LinComb(x))
+        assert first == second
+        assert {id(r) for r in first} == {id(r) for r in second}
+
+    @pytest.mark.parametrize("weight,entries", [(0, 8552), (1, 15689)])
+    def test_derived_law_makes_the_same_products(self, ab, weight, entries):
+        # the memo sizes measured before words had own copies: those change
+        # which objects the memo holds, not which products it makes
+        ctx = FreeRBContext(ab, weight=weight)
+        triples = list(itertools.product(enumerate_basis(ctx, 2, 1), repeat=3))
+        assert check_derived(ctx, triples).passed
+        assert len(ctx._memo) == entries
 
 
 class TestGradedShape:

@@ -1,6 +1,9 @@
 """Order, degrees, and alphabet handling for the term types."""
 
+import copy
 import hashlib
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -166,6 +169,76 @@ def test_hashable_and_usable_in_dicts(ab):
     assert d[RApp(a)] == 2
     assert Br(a, b) == Br(a, b)
     assert Br(a, b) != Br(b, a)
+
+
+def _built_apart():
+    """Pairs of equal words built from separate objects down to the letters."""
+    def build():
+        a, b = Gen("a", 0), Gen("b", 1)
+        return [a, RApp(Br(a, b)), Br(RApp(a), Br(a, RApp(b)))]
+
+    return list(zip(build(), build()))
+
+
+class TestWordContract:
+    """A word is a float only so that it hashes in C; nothing else of
+    float shows."""
+
+    def test_equal_words_built_apart_are_equal_and_hash_equal(self):
+        for u, v in _built_apart():
+            assert u is not v
+            assert u == v and not u != v
+            assert hash(u) == hash(v)
+            assert {u: 1}[v] == 1
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_no_order(self, ab, op):
+        a, b = ab.gens()
+        for left, right in ((a, b), (a, 1.0), (1.0, a), (a, 1)):
+            with pytest.raises(TypeError):
+                eval("left %s right" % op, {"left": left, "right": right})
+        with pytest.raises(TypeError):
+            sorted([Br(a, b), a, b])
+
+    def test_no_arithmetic(self, ab):
+        w = Br(*ab.gens())
+        for call in (lambda: 2 * w, lambda: w + 1, lambda: 2.0 * w, lambda: 1.0 - w,
+                     lambda: w / 2, lambda: -w, lambda: abs(w), lambda: Fraction(w)):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_always_true(self, ab):
+        a, b = ab.gens()
+        assert all(bool(w) for w in (a, RApp(a), Br(a, b)))
+
+    def test_true_even_at_float_value_zero(self):
+        # float's own truth test would read a hash of 0 as False
+        assert bool(float.__new__(Gen, 0.0))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, copy.copy,
+                                       lambda w: pickle.loads(pickle.dumps(w))],
+                             ids=["deepcopy", "copy", "pickle"])
+    def test_copies_round_trip(self, ab, clone):
+        a, b = ab.gens()
+        for w in (a, RApp(Br(a, b)), Br(RApp(a), Br(a, RApp(b)))):
+            got = clone(w)
+            assert type(got) is type(w) and got == w and hash(got) == hash(w)
+            assert str(got) == str(w)
+            assert (got.deg, got.degr, got.xdeg) == (w.deg, w.degr, w.xdeg)
+
+    def test_never_equal_to_a_number(self, ab):
+        a, b = ab.gens()
+        for w in (a, RApp(a), Br(a, b)):
+            for number in (hash(w), float(hash(w)), 0, 0.0):
+                assert w != number and number != w
+                assert not (w == number) and not (number == w)
+            assert w != Fraction(hash(w))
+
+    def test_hash_is_floats_own_slot(self):
+        # a Python-level __hash__ costs a call on every dict lookup
+        assert Gen.__hash__ is float.__hash__
+        assert RApp.__hash__ is float.__hash__
+        assert Br.__hash__ is float.__hash__
 
 
 # Every operator word over a > b up to bidegree (3, 1), in the order
