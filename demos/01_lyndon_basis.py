@@ -7,7 +7,7 @@ ranked alphabet, check the count against the classical necklace
 formula, and multiply two basis elements.
 """
 
-from rblie.expr import format_lincomb, format_word
+from rblie.expr import format_lincomb
 from rblie.pcls import LSContext
 from rblie.straighten import enumerate_basis
 from rblie.terms import Alphabet
@@ -19,7 +19,7 @@ ctx = LSContext(al)
 
 # All basis words with at most 4 letters, greatest first.
 for w in enumerate_basis(ctx, 4):
-    print(format_word(w))
+    print(w)
 
 # Per-degree counts match the necklace formula.
 print()
@@ -32,4 +32,4 @@ words = enumerate_basis(ctx, 3)
 u = words[1]  # [a,[a,b]]
 v = words[-1]  # b
 print()
-print("%s * %s = %s" % (format_word(u), format_word(v), format_lincomb(ctx.mult_comb(u, v))))
+print("%s * %s = %s" % (u, v, format_lincomb(ctx.mult_comb(u, v))))

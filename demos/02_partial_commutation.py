@@ -7,7 +7,7 @@ basis keeps only the Lyndon-Shirshov words that survive the relations,
 and the bracket of two commuting generators collapses to zero.
 """
 
-from rblie.expr import format_lincomb, format_word, parse_word
+from rblie.expr import format_lincomb, parse_word
 from rblie.pcls import CommGraph, PCLSContext, load_graph
 from rblie.straighten import enumerate_basis
 from rblie.terms import Alphabet
@@ -31,7 +31,7 @@ ctx = PCLSContext(al, edge)
 for text in ("[a,b]", "[a,c]", "[[a,c],b]"):
     w = parse_word(text, al)
     print("%-9s evaluates to %s" % (text, format_lincomb(ctx.evaluate(w))))
-print([format_word(w) for w in enumerate_basis(PCLSContext(al, edge), 3)])
+print([str(w) for w in enumerate_basis(PCLSContext(al, edge), 3)])
 
 # The product respects the relations: multiplying a by b gives zero.
 a = parse_word("a", al)

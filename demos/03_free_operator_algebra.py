@@ -7,7 +7,7 @@ R(x)R(y) = R(R(x)y + xR(y) + weight*xy) holds by construction, with
 the weight taken from the context.
 """
 
-from rblie.expr import format_lincomb, format_word, parse_word
+from rblie.expr import format_lincomb, parse_word
 from rblie.free_rb import FreeRBContext
 from rblie.straighten import enumerate_basis
 from rblie.terms import Alphabet
@@ -16,7 +16,7 @@ al = Alphabet(("a", "b"))
 
 # The basis itself does not depend on the weight.
 for w in enumerate_basis(FreeRBContext(al), 2, 1):
-    print(format_word(w))
+    print(w)
 
 # Products do.  Same pair of words, both weights:
 u = parse_word("R(a)", al)

@@ -9,7 +9,7 @@ Raw words reduce to a canonical combination of basis words.
 
 from rblie.algebras import load_algebra
 from rblie.enveloping import EnvContext
-from rblie.expr import format_lincomb, format_word, parse_word
+from rblie.expr import format_lincomb, parse_word
 from rblie.straighten import enumerate_basis
 from rblie.terms import Br, RApp
 
@@ -30,7 +30,7 @@ print("[a,b] reduces to", format_lincomb(post.evaluate(w)))
 
 # Basis words of the enveloping algebra mix generators and towers of R.
 for bw in enumerate_basis(pre, 2, 2):
-    print(format_word(bw))
+    print(bw)
 
 # Products straighten like in the free case, but land in this basis.
 # Here the input product is commutative, so the bracket of the two

@@ -13,7 +13,7 @@ from .algebras import (
     derivation_prelie_example, format_algebra, load_algebra, parse_algebra_text,
 )
 from .enveloping import EnvContext, embed, pbw_table
-from .expr import ExprError, format_lincomb, format_word, parse_expr, parse_word
+from .expr import ExprError, format_lincomb, parse_expr, parse_word
 from .free_rb import FreeRBContext
 from .lincomb import LinComb
 from .lyndon import is_assoc_ls, standard_bracketing
@@ -37,7 +37,7 @@ __all__ = [
     "abelianize", "atoms", "check_lie", "check_pre_lie", "check_post_lie",
     "compare_letters", "compare_words", "derivation_prelie_example", "embed",
     "enumerate_basis",
-    "format_algebra", "format_graph", "format_lincomb", "format_word",
+    "format_algebra", "format_graph", "format_lincomb",
     "is_assoc_ls", "load_algebra", "load_graph", "parse_algebra_text",
     "parse_expr", "parse_graph_text", "parse_word", "pbw_table", "run_property",
     "sort_words_descending", "standard_bracketing", "total_cmp", "witt_count",

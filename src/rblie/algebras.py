@@ -152,11 +152,7 @@ def jacobi_residue(bracket, x, y, z):
 
 def post_lie_residues(dot, bracket, x, y, z):
     """Residues of the two post-Lie laws, as a pair of combinations."""
-    lhs = (
-        dot(dot(x, y), z) - dot(x, dot(y, z))
-        - dot(dot(y, x), z) + dot(y, dot(x, z))
-    )
-    first = lhs - dot(bracket(y, x), z)
+    first = pre_lie_residue(dot, x, y, z) - dot(bracket(y, x), z)
     second = dot(x, bracket(y, z)) - bracket(dot(x, y), z) - bracket(y, dot(x, z))
     return first, second
 
@@ -234,23 +230,11 @@ def derivation_prelie_example(n, m):
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
 
-    def monomials(total):
-        if n == 1:
-            yield (total,)
-            return
-        def rec(prefix, left, slots):
-            if slots == 1:
-                yield prefix + (left,)
-                return
-            for k in range(left + 1):
-                yield from rec(prefix + (k,), left - k, slots - 1)
-        yield from rec((), total, n)
-
     basis = []
     for degree in range(1, m + 1):
-        for alpha in sorted(monomials(degree)):
-            for i in range(1, n + 1):
-                basis.append((alpha, i))
+        for alpha in iproduct(range(degree + 1), repeat=n):
+            if sum(alpha) == degree:
+                basis.extend((alpha, i) for i in range(1, n + 1))
 
     def name_of(alpha, i):
         return "x%sd%d" % ("".join(str(e) for e in alpha), i)

@@ -18,7 +18,7 @@ import sys
 
 from .algebras import load_algebra
 from .enveloping import EnvContext, pbw_table
-from .expr import ExprError, format_lincomb, format_word, parse_expr
+from .expr import format_lincomb, parse_expr
 from .free_rb import FreeRBContext
 from .pcls import PCLSContext, load_graph
 from .straighten import FuelError, enumerate_basis
@@ -38,11 +38,16 @@ KINDS = {
 }
 CONTEXT_FLAGS = ("kind", "alphabet", "graph", "algebra", "weight", "fuel")
 # verify's bounds and the values they take when not given; they default to
-# None so that enum-oracles, which fixes its own bounds, can refuse them
+# None so that a property that does not read one can refuse it
 VERIFY_BOUNDS = {"max_deg": 3, "max_rdeg": 2, "samples": 200, "seed": 1}
+# the flags a verify property does not read; every other property reads them all
+UNREAD_FLAGS = {
+    "enum-oracles": CONTEXT_FLAGS + tuple(VERIFY_BOUNDS),  # builds its own contexts and bounds
+    "pbw": ("samples", "seed"),  # counts every basis word, drawing none
+}
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -119,7 +124,7 @@ def cmd_basis(args):
                       "%d\t%d\t%d" if args.tsv else "(%d, %d): %d")
     else:
         for w in enumerate_basis(ctx, args.max_deg, args.max_rdeg):
-            print(format_word(w))
+            print(w)
     return 0
 
 
@@ -145,10 +150,9 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
+    _refuse_flags(args, (), args.property, UNREAD_FLAGS.get(args.property, ()))
     ctx = None
-    if args.property == "enum-oracles":
-        _refuse_flags(args, (), "enum-oracles", CONTEXT_FLAGS + tuple(VERIFY_BOUNDS))
-    else:
+    if args.property != "enum-oracles":
         if args.samples is not None and args.samples < 1:
             raise UsageError("--samples must be positive")
         ctx = _build_context(args)
@@ -186,10 +190,11 @@ def build_parser():
     _add_context_flags(p)
     p.add_argument("--max-deg", type=int, required=True)
     p.add_argument("--max-rdeg", type=int, default=0)
-    p.add_argument("--counts", action="store_true",
-                   help="print a (deg, degR): count table instead of words")
-    p.add_argument("--tsv", action="store_true",
-                   help="counts as tab-separated deg/degR/count rows")
+    table = p.add_mutually_exclusive_group()
+    table.add_argument("--counts", action="store_true",
+                       help="print a (deg, degR): count table instead of words")
+    table.add_argument("--tsv", action="store_true",
+                       help="counts as tab-separated deg/degR/count rows")
     p.set_defaults(func=cmd_basis)
 
     p = subs.add_parser("mul", help="straighten a product of two expressions")
@@ -227,12 +232,6 @@ def main(argv=None):
     except FuelError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except ExprError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

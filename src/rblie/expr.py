@@ -19,7 +19,7 @@ from fractions import Fraction
 from .lincomb import LinComb
 from .terms import Br, RApp, descending_key
 
-__all__ = ["ExprError", "parse_word", "parse_expr", "format_word", "format_lincomb"]
+__all__ = ["ExprError", "parse_word", "parse_expr", "format_lincomb"]
 
 
 class ExprError(ValueError):
@@ -163,10 +163,6 @@ def parse_word(text, alphabet):
 def parse_expr(text, alphabet):
     """Parse a linear combination of words over the given alphabet."""
     return _Parser(text, alphabet).parse_expr()
-
-
-def format_word(w):
-    return str(w)
 
 
 def format_lincomb(lc, key=None):

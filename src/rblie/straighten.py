@@ -17,6 +17,9 @@ rule:
   6. otherwise u is a letter and v = [v1,v2]; rewrite by the derivation
      form of Jacobi: u*v = (u*v1)*v2 + v1*(u*v2).
 
+Rules 5 and 6 expand their two terms through the same bilinear loop as
+`mult_comb`, with the single word as a one-term combination.
+
 Rules 5 and 6 are identities in any Lie algebra, rule 3 encodes the
 defining relations of the target, so the loop computes coordinates in
 the basis selected by the context's membership test.  Since rule 4
@@ -283,30 +286,17 @@ class BasisContext:
             w = Br(u, v)
             return LinComb.single(self._basis_cache.setdefault(w, w))
         if isinstance(u, Br):
-            first = self._comb_times_word(self._mult(u.left, v, fuel), u.right, fuel)
-            second = self._word_times_comb(u.left, self._mult(u.right, v, fuel), fuel)
-            if self.corrupt_sign:
-                return first - second
-            return first + second
+            first = self._mult_comb(self._mult(u.left, v, fuel), {u.right: 1}, fuel)
+            second = self._mult_comb({u.left: 1}, self._mult(u.right, v, fuel), fuel)
+            # first is fresh from _mult_comb, so the sum may be built in it
+            return first.iadd_comb(second, -1 if self.corrupt_sign else 1)
         if isinstance(v, Br):
-            first = self._comb_times_word(self._mult(u, v.left, fuel), v.right, fuel)
-            second = self._word_times_comb(v.left, self._mult(u, v.right, fuel), fuel)
-            return first + second
+            first = self._mult_comb(self._mult(u, v.left, fuel), {v.right: 1}, fuel)
+            second = self._mult_comb({v.left: 1}, self._mult(u, v.right, fuel), fuel)
+            return first.iadd_comb(second)
         raise AssertionError(
             "no rule for letters %s, %s: incomplete context %r" % (u, v, self)
         )
-
-    def _comb_times_word(self, comb, w, fuel):
-        out = LinComb()
-        for t, c in comb.items():
-            out.iadd_comb(self._mult(t, w, fuel), c)
-        return out
-
-    def _word_times_comb(self, w, comb, fuel):
-        out = LinComb()
-        for t, c in comb.items():
-            out.iadd_comb(self._mult(w, t, fuel), c)
-        return out
 
 
 def bidegree_words(alphabet, max_deg, max_rdeg, keep):

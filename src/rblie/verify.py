@@ -29,7 +29,6 @@ from collections import Counter
 from .algebras import (
     Report, abelianize, jacobi_residue, post_lie_residues, pre_lie_residue, rb_residue,
 )
-from .expr import format_word
 from .free_rb import FreeRBContext
 from .rng import XorShift64
 from .straighten import bidegree_words, enumerate_basis
@@ -58,7 +57,7 @@ def sample_basis(ctx, max_deg, max_rdeg, seed, count, arity):
 
 
 def _wit(words):
-    return "(%s)" % " | ".join(format_word(w) for w in words)
+    return "(%s)" % " | ".join(str(w) for w in words)
 
 
 def _law(name, cases, residue):
@@ -110,7 +109,7 @@ def check_graded_shape(ctx, pairs):
                 fault = "leading shape"
             else:
                 continue
-            return ["%s %s %s" % (_wit((u, v)), fault, format_word(w))]
+            return ["%s %s %s" % (_wit((u, v)), fault, w)]
         return []
 
     return Report.over("assump", pairs, violations)
@@ -143,7 +142,7 @@ def check_reduce_hom(ctx, max_deg, max_rdeg, seed, count):
         lhs = ctx.evaluate(free.mult(u, v))
         if lhs - ctx.mult_comb(ctx.evaluate(u), ctx.evaluate(v)):
             return [_wit((u, v))]
-        return ["%s escapes basis via %s" % (_wit((u, v)), format_word(w))
+        return ["%s escapes basis via %s" % (_wit((u, v)), w)
                 for w in _strays(ctx, lhs)[:1]]
 
     return Report.over("reduce-hom", sample_basis(free, max_deg, max_rdeg, seed, count, 2),
@@ -165,7 +164,7 @@ def check_spanning(ctx, max_deg, max_rdeg):
     return Report.over(
         "spanning deg<=%d rdeg<=%d" % (max_deg, max_rdeg),
         ((w,) for w in all_operator_words(ctx.alphabet, max_deg, max_rdeg)),
-        lambda w: ["%s reduces onto non-basis %s" % (format_word(w), format_word(t))
+        lambda w: ["%s reduces onto non-basis %s" % (w, t)
                    for t in _strays(ctx, ctx.evaluate(w))[:1]])
 
 
@@ -216,8 +215,7 @@ def check_enum_oracles():
         if diff:
             report.violations.append(
                 "%s, degree <= %d: filter and builder disagree on %s"
-                % (label, deg, format_word(min(sort_words_descending(diff),
-                                               key=lambda w: w.deg))))
+                % (label, deg, min(sort_words_descending(diff), key=lambda w: w.deg)))
     return report
 
 

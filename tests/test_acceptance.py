@@ -10,7 +10,6 @@ import pytest
 from conftest import TEST_ALGEBRA_MAKERS
 from rblie.algebras import StructureAlgebra, abelianize
 from rblie.enveloping import EnvContext, embed, pbw_table
-from rblie.expr import format_word
 from rblie.free_rb import FreeRBContext
 from rblie.lincomb import LinComb
 from rblie.pcls import CommGraph, LSContext, PCLSContext
@@ -156,7 +155,7 @@ def _derivation_failures(name, ctx):
             want += ctx.mult_comb(LinComb.single(z.left), ctx.mult(rl, z.right))
             if ctx.mult(rl, z) != want:
                 out.append("%s: R-letter %s fails Leibniz on %s"
-                           % (name, format_word(rl), format_word(z)))
+                           % (name, rl, z))
     return out
 
 

@@ -39,6 +39,12 @@ class TestBasis:
         assert code == 0
         assert out == "1\t0\t1\n1\t1\t1\n1\t2\t1\n2\t2\t1\n"
 
+    def test_counts_and_tsv_are_alternatives(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["basis", "--algebra", ONE_DIM, "--max-deg", "2", "--counts", "--tsv"])
+        assert raised.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_free_rb_box(self, capsys):
         code, out, err = run(capsys, "basis", "--kind", "free-rb",
                              "--alphabet", "a", "--max-deg", "2", "--max-rdeg", "1")
@@ -159,6 +165,14 @@ class TestVerify:
         assert lines[1:] == [
             "(1, 0): 3", "(1, 1): 3", "(1, 2): 3", "(2, 2): 9", "(3, 2): 18",
         ]
+
+    @pytest.mark.parametrize("flag", [("--samples", "7"), ("--seed", "5")], ids=lambda f: f[0])
+    def test_pbw_takes_no_sampling_flag(self, capsys, flag):
+        # pbw counts every basis word within the bounds and draws none
+        code, out, err = run(capsys, "verify", "--algebra", SO3, "--property", "pbw",
+                             "--max-deg", "2", *flag)
+        assert code == 2 and out == ""
+        assert err == "error: pbw does not take %s\n" % flag[0]
 
     def test_rb_both_weights(self, capsys):
         for weight in ("0", "1"):

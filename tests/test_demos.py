@@ -1,4 +1,5 @@
-"""Every demo runs from the repository root without error output."""
+"""Every demo runs from the repository root without error output and
+prints exactly its recorded stdout (tests/demo_stdout/<demo>.txt)."""
 
 import os
 import subprocess
@@ -18,4 +19,5 @@ def test_demo_runs_cleanly(name):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert done.stdout
+    expected = (ROOT / "tests" / "demo_stdout" / name).with_suffix(".txt")
+    assert done.stdout == expected.read_text(encoding="utf-8")

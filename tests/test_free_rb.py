@@ -17,6 +17,7 @@ import pytest
 from rblie.expr import format_lincomb, parse_word
 from rblie.free_rb import FreeRBContext
 from rblie.lincomb import LinComb
+from rblie.pcls import LSContext
 from rblie.straighten import FuelError, enumerate_basis
 from rblie.terms import Alphabet, Br, Gen, RApp, total_cmp
 from rblie.verify import check_derived, check_jacobi, sample_basis
@@ -325,6 +326,21 @@ class TestFuel:
         for w in x:
             warm.mult(w, y)
         assert warm.mult_comb(x, y) == FreeRBContext(ab).mult_comb(x, y)
+
+    def test_a_product_that_needs_itself_raises_cyclic(self, ab):
+        # a letter rule that asks for the product it resolves never closes
+        class Cycling(LSContext):
+            def letter_rule(self, u, v, fuel):
+                return self._mult(u, v, fuel)
+
+        ctx = Cycling(ab)
+        a, b = ab.gens()
+        for _ in range(2):
+            with pytest.raises(FuelError) as raised:
+                ctx.mult(a, b)
+            assert raised.value.cyclic
+            assert str(raised.value) == "straightening cycled while multiplying a by b"
+            assert ctx._memo == {}
 
 
 def _least_budget(ab, call):
