@@ -23,7 +23,7 @@ from .pcls import (
 from .rng import XorShift64
 from .straighten import BasisContext, FuelError, enumerate_basis
 from .terms import (
-    Alphabet, Br, Gen, RApp, Word, atoms, compare_letters, compare_words,
+    Alphabet, Br, Gen, RApp, Word, atoms, compare_words,
     sort_words_descending, total_cmp,
 )
 from .verify import PROPERTIES, run_property, witt_count
@@ -35,7 +35,7 @@ __all__ = [
     "FreeRBContext", "FuelError", "Gen", "LSContext", "LinComb", "PCLSContext",
     "PROPERTIES", "RApp", "Report", "StructureAlgebra", "Word", "XorShift64",
     "abelianize", "atoms", "check_lie", "check_pre_lie", "check_post_lie",
-    "compare_letters", "compare_words", "derivation_prelie_example", "embed",
+    "compare_words", "derivation_prelie_example", "embed",
     "enumerate_basis",
     "format_algebra", "format_graph", "format_lincomb",
     "is_assoc_ls", "load_algebra", "load_graph", "parse_algebra_text",

@@ -22,7 +22,6 @@ its witness texts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -40,13 +39,15 @@ __all__ = [
 KINDS = ("pre", "post", "lie")
 
 
-@dataclass
 class Report:
-    """Outcome of one property check."""
+    """Outcome of one property check.  `rows` maps each bidegree to its
+    count for a check that counts words by bidegree, and is empty otherwise."""
 
-    name: str
-    checked: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(self, name):
+        self.name = name
+        self.checked = 0
+        self.violations = []
+        self.rows = {}
 
     @property
     def passed(self):

@@ -4,8 +4,11 @@ Subcommands: basis, mul, reduce, verify, check-algebra.  A context is
 selected with --kind (ls, pcls, free-rb, env-pre, env-post) plus the
 source flags that `KINDS` lists for it: --alphabet for the free kinds,
 optionally --graph for pcls and --weight for free-rb, --algebra for the
-enveloping kinds.  Output is plain text and deterministic for fixed
-flags and seed.
+enveloping kinds.  `READS` decides which other flags each command reads,
+a verify property counting as a command under its own name: a flag given
+that neither the command nor its kind reads exits 2, and so does a number
+below its `LEAST` value.  Output is plain text and deterministic for
+fixed flags and seed.
 
 Exit codes: 0 success or all checks pass, 1 a verification check failed,
 2 usage, parse, or file-format error, 3 fuel exhausted.
@@ -27,8 +30,7 @@ from .verify import PROPERTIES, run_property
 
 __all__ = ["main"]
 
-# The source flags each kind takes, the required one first; any other
-# context flag is refused.
+# The source flags each kind takes, the required one first.
 KINDS = {
     "ls": ("alphabet",),
     "pcls": ("alphabet", "graph"),
@@ -36,19 +38,21 @@ KINDS = {
     "env-pre": ("algebra",),
     "env-post": ("algebra",),
 }
-CONTEXT_FLAGS = ("kind", "alphabet", "graph", "algebra", "weight", "fuel")
-# verify's bounds and the values they take when not given; they default to
-# None so that a property that does not read one can refuse it
-VERIFY_BOUNDS = {"max_deg": 3, "max_rdeg": 2, "samples": 200, "seed": 1}
-# the flags a verify property does not read; every other property reads them all
-UNREAD_FLAGS = {
-    "enum-oracles": CONTEXT_FLAGS + tuple(VERIFY_BOUNDS),  # builds its own contexts and bounds
-    "pbw": ("samples", "seed"),  # counts every basis word, drawing none
+# The other flags each command reads, a verify property counting as a
+# command under its own name; reading --kind means reading the source
+# flags of the kind too.  Every sampled property reads the first row.
+READS = dict.fromkeys(PROPERTIES, ("kind", "fuel", "max_deg", "max_rdeg", "samples", "seed")) | {
+    "basis": ("kind", "max_deg", "max_rdeg", "counts", "tsv"),
+    "mul": ("kind", "fuel"),
+    "reduce": ("kind", "fuel"),
+    "pbw": ("kind", "max_deg", "max_rdeg"),  # counts every basis word, making no product
+    "enum-oracles": (),  # builds its own contexts and bounds
 }
-
-
-class UsageError(ValueError):
-    pass
+# the least value of each number flag
+LEAST = {"fuel": 1, "samples": 1, "max_deg": 0, "max_rdeg": 0}
+SOURCES = {flag for source in KINDS.values() for flag in source}
+# every flag the rule covers, in the order they are checked
+FLAGS = tuple(dict.fromkeys(flag for row in (*READS.values(), *KINDS.values()) for flag in row))
 
 
 def _add_context_flags(sub):
@@ -62,10 +66,21 @@ def _add_context_flags(sub):
                      help="rewrite-step budget for each operand and for the product")
 
 
-def _refuse_flags(args, allowed, owner, flags=CONTEXT_FLAGS):
-    for flag in flags:
-        if flag not in allowed and getattr(args, flag) is not None:
-            raise UsageError("%s does not take --%s" % (owner, flag.replace("_", "-")))
+def _read_flags(args, kind=None):
+    """Refuse each flag given that neither the command nor the kind reads,
+    naming the kind for a source flag, and each number below its least."""
+    owner = getattr(args, "property", args.command)
+    reads = READS[owner] + KINDS.get(kind, ())
+    for flag in FLAGS:
+        value = getattr(args, flag, None)
+        if value is None or value is False:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if flag not in reads:
+            reader = kind if kind and flag in SOURCES else owner
+            raise ValueError("%s does not take %s" % (reader, name))
+        if flag in LEAST and value < LEAST[flag]:
+            raise ValueError("%s must be at least %d" % (name, LEAST[flag]))
 
 
 def _build_context(args):
@@ -73,20 +88,20 @@ def _build_context(args):
     algebra = None
     if kind is None:
         if not args.algebra:
-            raise UsageError("--kind is required (or --algebra to imply an env kind)")
+            raise ValueError("--kind is required (or --algebra to imply an env kind)")
         algebra = load_algebra(args.algebra)
         kind = "env-pre" if algebra.kind == "pre" else "env-post"
+    _read_flags(args, kind)
     source = KINDS[kind]
-    _refuse_flags(args, ("kind", "fuel") + source, kind)
     if not getattr(args, source[0]):
-        raise UsageError("--%s is required for %s" % (source[0], kind))
+        raise ValueError("--%s is required for %s" % (source[0], kind))
 
     if source[0] == "algebra":
         if algebra is None:
             algebra = load_algebra(args.algebra)
         want = kind[len("env-"):]
         if algebra.kind != want:
-            raise UsageError("%s expects a %s table, file says %r"
+            raise ValueError("%s expects a %s table, file says %r"
                              % (kind, want, algebra.kind))
         ctx = EnvContext(algebra)
     else:
@@ -95,80 +110,59 @@ def _build_context(args):
             ctx = FreeRBContext(alphabet, weight=args.weight or 0)
         else:
             ctx = PCLSContext(alphabet, load_graph(args.graph, alphabet) if args.graph else None)
+    if getattr(args, "max_rdeg", 0) and not ctx.supports_operator:
+        raise ValueError("--max-rdeg applies to operator kinds only")
     if args.fuel is not None:
-        if args.fuel < 1:
-            raise UsageError("--fuel must be positive")
         ctx.fuel_limit = args.fuel
     return ctx
 
 
-def _check_bounds(args, ctx):
-    """Refuse a negative bound, and --max-rdeg on a context without an operator."""
-    if args.max_rdeg and ctx is not None and not ctx.supports_operator:
-        raise UsageError("--max-rdeg applies to operator kinds only")
-    if (args.max_deg or 0) < 0 or (args.max_rdeg or 0) < 0:
-        raise UsageError("--max-deg and --max-rdeg must not be negative")
-
-
-def _print_counts(ctx, max_deg, max_rdeg, row="(%d, %d): %d"):
-    table = pbw_table(ctx, max_deg, max_rdeg)
-    for key in sorted(table):
-        print(row % (key + (table[key],)))
+def _print_rows(rows, text="(%d, %d): %d"):
+    for key in sorted(rows):
+        print(text % (key + (rows[key],)))
 
 
 def cmd_basis(args):
     ctx = _build_context(args)
-    _check_bounds(args, ctx)
     if args.counts or args.tsv:
-        _print_counts(ctx, args.max_deg, args.max_rdeg,
-                      "%d\t%d\t%d" if args.tsv else "(%d, %d): %d")
+        _print_rows(pbw_table(ctx, args.max_deg, args.max_rdeg),
+                    "%d\t%d\t%d" if args.tsv else "(%d, %d): %d")
     else:
         for w in enumerate_basis(ctx, args.max_deg, args.max_rdeg):
             print(w)
     return 0
 
 
-def _parse_operands(ctx, texts):
-    out = []
-    for text in texts:
-        out.append(ctx.evaluate(parse_expr(text, ctx.alphabet)))
-    return out
-
-
 def cmd_mul(args):
     ctx = _build_context(args)
-    x, y = _parse_operands(ctx, [args.left, args.right])
+    x, y = (ctx.evaluate(parse_expr(text, ctx.alphabet)) for text in (args.left, args.right))
     print(format_lincomb(ctx.mult_comb(x, y)))
     return 0
 
 
 def cmd_reduce(args):
     ctx = _build_context(args)
-    (x,) = _parse_operands(ctx, [args.expr])
-    print(format_lincomb(x))
+    print(format_lincomb(ctx.evaluate(parse_expr(args.expr, ctx.alphabet))))
     return 0
 
 
 def cmd_verify(args):
-    _refuse_flags(args, (), args.property, UNREAD_FLAGS.get(args.property, ()))
     ctx = None
-    if args.property != "enum-oracles":
-        if args.samples is not None and args.samples < 1:
-            raise UsageError("--samples must be positive")
+    if "kind" in READS[args.property]:
         ctx = _build_context(args)
         if args.corrupt_rule:
             ctx.corrupt_sign = True
-        _check_bounds(args, ctx)
-    max_deg, max_rdeg, samples, seed = (
-        default if getattr(args, flag) is None else getattr(args, flag)
-        for flag, default in VERIFY_BOUNDS.items())
-    report = run_property(args.property, ctx, seed=seed, count=samples,
-                          max_deg=max_deg, max_rdeg=max_rdeg)
+    else:  # the property builds its own contexts
+        _read_flags(args)
+    # run_property holds the defaults of the flags not given
+    given = {("count" if flag == "samples" else flag): getattr(args, flag)
+             for flag in ("max_deg", "max_rdeg", "samples", "seed")
+             if getattr(args, flag) is not None}
+    report = run_property(args.property, ctx, **given)
     if not report.checked:
-        raise UsageError("%s checked nothing; widen the bounds" % report.name)
+        raise ValueError("%s checked nothing; widen the bounds" % report.name)
     print(report.line())
-    if args.property == "pbw" and report.passed:
-        _print_counts(ctx, max_deg, max_rdeg)
+    _print_rows(report.rows)
     return 0 if report.passed else 1
 
 

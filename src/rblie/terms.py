@@ -54,7 +54,7 @@ from functools import cmp_to_key
 
 __all__ = [
     "Word", "Gen", "RApp", "Br", "Alphabet",
-    "atoms", "compare_letters", "compare_words", "total_cmp",
+    "atoms", "compare_words", "total_cmp",
     "descending_key", "sort_words_descending",
 ]
 
@@ -209,26 +209,9 @@ def atoms(w):
     return got
 
 
-def compare_letters(a, b):
-    """Three-way comparison of two letters of the extended alphabet.
-
-    Returns negative/zero/positive as a </=/> b.  Generators compare by
-    rank (rank 0 greatest); any generator is below any R-letter; R-letters
-    compare by their argument words.
-    """
-    a_gen = isinstance(a, Gen)
-    b_gen = isinstance(b, Gen)
-    if a_gen and b_gen:
-        return b.rank - a.rank
-    if a_gen:
-        return -1
-    if b_gen:
-        return 1
-    return compare_words(a.arg, b.arg)
-
-
 def compare_words(u, v):
-    """Three-way comparison of word flattenings; a proper prefix is greater.
+    """Three-way comparison of word flattenings, letter by letter in the
+    order the module docstring gives; a proper prefix is greater.
 
     Accepts Words or tuples of letters.  Distinct bracketings of the same
     letter sequence compare equal here; use total_cmp for a total order.
@@ -236,9 +219,17 @@ def compare_words(u, v):
     su = atoms(u)
     sv = atoms(v)
     for a, b in zip(su, sv):
-        c = compare_letters(a, b)
-        if c:
-            return c
+        if isinstance(a, Gen):
+            if not isinstance(b, Gen):
+                return -1
+            if a.rank != b.rank:
+                return b.rank - a.rank
+        elif isinstance(b, Gen):
+            return 1
+        else:
+            c = compare_words(a.arg, b.arg)
+            if c:
+                return c
     if len(su) == len(sv):
         return 0
     return 1 if len(su) < len(sv) else -1

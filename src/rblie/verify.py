@@ -117,12 +117,13 @@ def check_graded_shape(ctx, pairs):
 
 def check_pbw(ctx, max_deg, max_rdeg):
     """Basis counts per (letter degree, operator degree) are blind to the
-    structure constants: the abelianized table yields identical counts."""
+    structure constants: the abelianized table yields identical counts.
+    The report's rows are the counts over this context's table."""
     from .enveloping import EnvContext, pbw_table
 
     report = Report("pbw deg<=%d rdeg<=%d" % (max_deg, max_rdeg))
     flat = EnvContext(abelianize(ctx.algebra))
-    ours = pbw_table(ctx, max_deg, max_rdeg)
+    ours = report.rows = pbw_table(ctx, max_deg, max_rdeg)
     theirs = pbw_table(flat, max_deg, max_rdeg)
     report.checked = sum(ours.values())
     for key in sorted(set(ours) | set(theirs)):

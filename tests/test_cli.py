@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import argparse
 import re
 import subprocess
 import sys
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from rblie.cli import KINDS, main
+from rblie import cli
+from rblie.algebras import Report
+from rblie.cli import KINDS, build_parser, main
+from rblie.verify import PROPERTIES
 
 ONE_DIM = "demos/algebras/one_dim.alg"
 SO3 = "demos/algebras/so3_post.alg"
@@ -303,6 +307,115 @@ class TestFlagValidation:
     def test_bad_property_choice_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
             main(["verify", "--kind", "ls", "--alphabet", "a", "--property", "nope"])
+
+
+def _parser_flags():
+    """(command, option, argv) for each optional flag of each subcommand,
+    read from the parser; argv gives the flag a value it accepts."""
+    values = {"--kind": "env-post", "--alphabet": "a", "--graph": PATH_GRAPH,
+              "--algebra": SO3, "--weight": "0"}
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            option = action.option_strings[-1] if action.option_strings else None
+            # --property picks the reader and --corrupt-rule is a test switch
+            if option in (None, "--help", "--property", "--corrupt-rule"):
+                continue
+            yield command, option, [option] + ([] if action.nargs == 0 else
+                                               [values.get(option, "1")])
+
+
+# every reader of flags: a command, or a verify property under its own name
+READERS = {"basis": ["basis", "--max-deg", "1"], "mul": ["mul", "a", "b"],
+           "reduce": ["reduce", "a"]}
+READERS.update((prop, ["verify", "--property", prop]) for prop in PROPERTIES)
+
+
+class TestFlagRule:
+    """Each command reads a flag it is given or refuses it: no flag is
+    accepted and then ignored."""
+
+    @pytest.fixture(autouse=True)
+    def no_checks(self, monkeypatch):
+        # the flags are read or refused before a property runs
+        monkeypatch.setattr(cli, "run_property",
+                            lambda prop, ctx, **bounds: Report.over(prop, [()], lambda: []))
+
+    def _reader_argv(self, capsys, reader):
+        # a reader that takes the envelope of so3 gets it, any other none
+        argv = READERS[reader] + ["--algebra", SO3]
+        code, out, err = run(capsys, *argv)
+        if err.endswith("does not take --algebra\n"):
+            return READERS[reader]
+        assert code == 0, err
+        return argv
+
+    def test_every_flag_is_read_or_refused(self, capsys):
+        readers_of = {}
+        for reader, head in READERS.items():
+            base = self._reader_argv(capsys, reader)
+            reads = cli.READS[reader] + (KINDS["env-post"] if base != head else ())
+            for command, option, flag in _parser_flags():
+                if command != head[0]:
+                    continue
+                code, out, err = run(capsys, *base, *flag)
+                refused = err.endswith(" does not take %s\n" % option)
+                if refused:
+                    assert code == 2 and out == "", (reader, option)
+                else:
+                    readers_of.setdefault(option, []).append(reader)
+                assert refused != (option[2:].replace("-", "_") in reads), (reader, option, err)
+        every = {option for _, option, _ in _parser_flags()}
+        # a source flag is read by the kinds that take it (the README table)
+        sources = {"--" + flag for source in KINDS.values() for flag in source}
+        assert every - sources <= set(readers_of), every - sources - set(readers_of)
+
+    @pytest.mark.parametrize("argv", [
+        ("basis", "--kind", "ls", "--alphabet", "a,b", "--max-deg", "2"),
+        ("verify", "--algebra", SO3, "--property", "pbw", "--max-deg", "2"),
+        ("verify", "--property", "enum-oracles"),
+    ], ids=["basis", "pbw", "enum-oracles"])
+    def test_fuel_is_refused_where_no_product_is_made(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--fuel", "1")
+        owner = argv[argv.index("--property") + 1] if "--property" in argv else argv[0]
+        assert code == 2 and out == ""
+        assert err == "error: %s does not take --fuel\n" % owner
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--kind", "ls", "--alphabet", "a,b", "a", "b"),
+    ("verify", "--kind", "ls", "--alphabet", "a,b", "--property", "jacobi"),
+], ids=["mul", "jacobi"])
+def test_fuel_one_runs_out_where_a_product_is_made(capsys, argv):
+    code, out, err = run(capsys, *argv, "--fuel", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: straightening fuel exhausted") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("mul", "--kind", "ls", "--alphabet", "a,b", "--fuel", "0", "a", "b"),
+     "--fuel must be at least 1"),
+    (("verify", "--kind", "ls", "--alphabet", "a,b", "--property", "anticomm",
+      "--samples", "0"), "--samples must be at least 1"),
+    (("basis", "--kind", "ls", "--alphabet", "a,b", "--max-deg", "-1"),
+     "--max-deg must be at least 0"),
+    (("basis", "--kind", "free-rb", "--alphabet", "a", "--max-deg", "1", "--max-rdeg", "-1"),
+     "--max-rdeg must be at least 0"),
+], ids=["fuel", "samples", "max-deg", "max-rdeg"])
+def test_a_number_below_its_least_value_is_refused(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % text
+
+
+def test_pbw_rows_are_the_basis_counts(capsys):
+    bounds = ("--algebra", SO3, "--max-deg", "3", "--max-rdeg", "2")
+    code, out, err = run(capsys, "verify", "--property", "pbw", *bounds)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    code, out, err = run(capsys, "basis", "--counts", *bounds)
+    assert code == 0 and rows == out.splitlines() and rows
 
 
 def test_readme_kinds_table_matches_the_cli():
