@@ -127,13 +127,10 @@ class _Parser:
     def parse_expr(self):
         out = LinComb()
         kind, value, _ = self.peek()
-        if kind == "int" and value == "0":
+        if kind == "int" and value == "0" and self.tokens[self.pos + 1][0] == "end":
             # a bare zero, the printed form of the empty combination
-            save = self.pos
             self.take()
-            if self.peek()[0] == "end":
-                return out
-            self.pos = save
+            return out
         sign = 1
         if kind == "-":
             self.take()
@@ -144,25 +141,26 @@ class _Parser:
             op = self.take()[0]
             coeff, word = self.parse_term()
             out.iadd(word, coeff if op == "+" else -coeff)
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprError("unexpected %r" % tok[1], tok[2])
         return out
+
+    def finish(self, result):
+        """`result`, provided the text ends here."""
+        kind, value, offset = self.peek()
+        if kind != "end":
+            raise ExprError("unexpected %r" % value, offset)
+        return result
 
 
 def parse_word(text, alphabet):
     """Parse a single word (no coefficients)."""
     p = _Parser(text, alphabet)
-    w = p.parse_word()
-    tok = p.peek()
-    if tok[0] != "end":
-        raise ExprError("unexpected %r" % tok[1], tok[2])
-    return w
+    return p.finish(p.parse_word())
 
 
 def parse_expr(text, alphabet):
     """Parse a linear combination of words over the given alphabet."""
-    return _Parser(text, alphabet).parse_expr()
+    p = _Parser(text, alphabet)
+    return p.finish(p.parse_expr())
 
 
 def format_lincomb(lc, key=None):

@@ -1,10 +1,16 @@
 """Sparse linear combinations with exact rational coefficients.
 
-LinComb maps hashable keys (Words, or basis names of a finite-dimensional
-algebra) to nonzero ints or Fractions; a key whose coefficient becomes zero
-is removed, so equality of combinations is plain dict equality.  An
-integral coefficient is always stored as an int, never as a Fraction with
-denominator 1, so integral work stays in int arithmetic.
+LinComb is a dict mapping hashable keys (Words, or basis names of a
+finite-dimensional algebra) to nonzero ints or Fractions.  Its builders
+`single`, `iadd`, `iadd_comb` and `scaled` and its operators keep this
+normal form: a key whose coefficient becomes zero is removed, so equality
+of combinations is plain dict equality, and an integral coefficient is
+stored as an int, never as a Fraction with denominator 1, so integral work
+stays in int arithmetic.
+
+`LinComb(mapping or pairs)` is dict's own constructor: it copies its
+argument as given, keeping the last value of a repeated key, and neither
+sums nor normalizes.  Build from raw coefficients with `single`/`iadd`.
 """
 
 from __future__ import annotations
@@ -17,12 +23,6 @@ __all__ = ["LinComb"]
 class LinComb(dict):
 
     __slots__ = ()
-
-    def __init__(self, data=()):
-        super().__init__()
-        items = data.items() if isinstance(data, dict) else data
-        for key, coeff in items:
-            self.iadd(key, coeff)
 
     @classmethod
     def single(cls, key, coeff=1):
@@ -44,9 +44,9 @@ class LinComb(dict):
             if c.denominator == 1:
                 c = c.numerator
         if c:
-            dict.__setitem__(self, key, c)
+            self[key] = c
         elif old is not None:
-            dict.__delitem__(self, key)
+            del self[key]
         return self
 
     def iadd_comb(self, other, factor=1):
@@ -67,11 +67,6 @@ class LinComb(dict):
     def __neg__(self):
         return self.scaled(-1)
 
-    def __mul__(self, factor):
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
     def scaled(self, factor):
         if not isinstance(factor, (int, Fraction)):
             factor = Fraction(factor)
@@ -81,9 +76,5 @@ class LinComb(dict):
                 c = coeff * factor
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
-                dict.__setitem__(out, key, c)
+                out[key] = c
         return out
-
-    @property
-    def is_zero(self):
-        return not self

@@ -211,7 +211,7 @@ class BasisContext:
                 r = RApp(w)
                 r = r_of.setdefault(w, self._basis_cache.setdefault(r, r))
             # distinct words have distinct R-images, so no term adds to another
-            dict.__setitem__(out, r, c)
+            out[r] = c
         return out
 
     def evaluate(self, x):

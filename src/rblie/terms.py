@@ -235,29 +235,23 @@ def compare_words(u, v):
     return 1 if len(su) < len(sv) else -1
 
 
-def _structure_cmp(u, v):
-    ku = 0 if isinstance(u, Gen) else (1 if isinstance(u, RApp) else 2)
-    kv = 0 if isinstance(v, Gen) else (1 if isinstance(v, RApp) else 2)
-    if ku != kv:
-        return ku - kv
-    if ku == 0:
-        return v.rank - u.rank
-    if ku == 1:
-        return total_cmp(u.arg, v.arg)
-    c = total_cmp(u.left, v.left)
-    if c:
-        return c
-    return total_cmp(u.right, v.right)
-
-
 def total_cmp(u, v):
-    """compare_words refined by a structural tie-break, total on all Words."""
+    """compare_words refined by a structural tie-break, total on all Words.
+
+    The tie-break runs on equal flattenings, so u and v are two R-letters
+    (compared by argument), two brackets (by halves), or two generators of
+    equal rank, which it leaves equal.
+    """
     if u == v:
         return 0
     c = compare_words(u, v)
     if c:
         return c
-    return _structure_cmp(u, v)
+    if isinstance(u, RApp):
+        return total_cmp(u.arg, v.arg)
+    if isinstance(u, Br):
+        return total_cmp(u.left, v.left) or total_cmp(u.right, v.right)
+    return 0
 
 
 def descending_key():

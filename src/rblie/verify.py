@@ -136,8 +136,10 @@ def check_pbw(ctx, max_deg, max_rdeg):
 
 def check_reduce_hom(ctx, max_deg, max_rdeg, seed, count):
     """evaluate(u*v) == evaluate(u) * evaluate(v) across the free-to-
-    enveloping reduction, with every output inside the enveloping basis."""
+    enveloping reduction, with every output inside the enveloping basis.
+    Each free product gets the same step budget as the enveloping ones."""
     free = FreeRBContext(ctx.alphabet, weight=ctx.weight)
+    free.fuel_limit = ctx.fuel_limit
 
     def violations(u, v):
         lhs = ctx.evaluate(free.mult(u, v))

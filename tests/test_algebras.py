@@ -178,7 +178,7 @@ class TestDerivationExample:
 def _element_pairs(ab):
     words = enumerate_basis(FreeRBContext(ab), 2, 1)
     singles = [LinComb.single(w) for w in words]
-    mixed = singles[0] + 2 * singles[-1]
+    mixed = singles[0] + singles[-1].scaled(2)
     return [(x, y) for x, y in itertools.product(singles + [mixed], repeat=2)]
 
 
@@ -201,7 +201,7 @@ class TestRBView:
 
     def test_scaling_is_not_a_control(self, ab):
         ctx = FreeRBContext(ab, weight=0)
-        assert not any(_rb_residues(ctx, lambda x: ctx.apply_r(x) * 2, _element_pairs(ab)))
+        assert not any(_rb_residues(ctx, lambda x: ctx.apply_r(x).scaled(2), _element_pairs(ab)))
 
 
 def _basis_triples(ctx):

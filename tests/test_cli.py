@@ -447,6 +447,15 @@ class TestFuel:
         assert code == 3
         assert "fuel" in err
 
+    def test_reduce_hom_spends_the_budget_on_its_free_products(self, capsys):
+        # the enveloping side of these 20 pairs fits in 40 steps; some of
+        # their products in the free operator algebra do not
+        code, out, err = run(capsys, "verify", "--algebra", SO3, "--property", "reduce-hom",
+                             "--fuel", "40", "--samples", "20", "--max-deg", "3",
+                             "--max-rdeg", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: straightening fuel exhausted") and err.count("\n") == 1
+
     def test_nonpositive_fuel_rejected(self, capsys):
         code, out, err = run(capsys, "mul", "--kind", "free-rb",
                              "--alphabet", "a,b", "--fuel", "0", "a", "b")

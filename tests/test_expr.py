@@ -58,7 +58,7 @@ class TestParseExpr:
         want = LinComb(
             {
                 RApp(Br(al.gen("a"), al.gen("b"))): Fraction(3, 2),
-                al.gen("a"): Fraction(-1),
+                al.gen("a"): -1,
             }
         )
         assert got == want
@@ -85,6 +85,15 @@ class TestParseExpr:
         with pytest.raises(ExprError):
             parse_expr("2 a", al)
 
+    @pytest.mark.parametrize("text,message", [
+        ("0 + a", "expected * at offset 2"),  # a zero that is not the whole text is a coefficient
+        ("a b", "unexpected 'b' at offset 2"),
+    ])
+    def test_what_follows_a_complete_prefix(self, al, text, message):
+        with pytest.raises(ExprError) as err:
+            parse_expr(text, al)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("text,offset", [("\u00b2*a", 0), ("1\u00b2*a", 1)],
                              ids=["superscript", "after-a-digit"])
     def test_non_decimal_digit_is_refused_with_its_offset(self, al, text, offset):
@@ -102,9 +111,9 @@ class TestFormat:
     def test_lincomb_canonical_order(self, al):
         lc = LinComb(
             {
-                al.gen("a"): Fraction(1),
+                al.gen("a"): 1,
                 RApp(al.gen("a")): Fraction(-3, 2),
-                al.gen("b"): Fraction(2),
+                al.gen("b"): 2,
             }
         )
         # descending: R(a) above the generators, a above b

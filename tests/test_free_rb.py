@@ -140,8 +140,8 @@ class TestOperator:
 
     def test_same_argument_collapses(self, ctx0, ctx1, ab):
         a = ab.gen("a")
-        assert ctx0.mult_comb(RApp(a), RApp(a)).is_zero
-        assert ctx1.mult_comb(RApp(a), RApp(a)).is_zero
+        assert not ctx0.mult_comb(RApp(a), RApp(a))
+        assert not ctx1.mult_comb(RApp(a), RApp(a))
 
 
 class TestCoefficients:
@@ -180,7 +180,7 @@ class TestIdentitiesExhaustive:
         ctx = FreeRBContext(ab, weight=weight)
         words = self.words(ab)
         for u, v in itertools.product(words, repeat=2):
-            assert (ctx.mult(u, v) + ctx.mult(v, u)).is_zero, (u, v)
+            assert not (ctx.mult(u, v) + ctx.mult(v, u)), (u, v)
 
     @pytest.mark.parametrize("weight", [0, 1])
     def test_jacobi(self, ab, weight):
@@ -190,7 +190,7 @@ class TestIdentitiesExhaustive:
             total = ctx.mult_comb(ctx.mult(u, v), w)
             total += ctx.mult_comb(ctx.mult(v, w), u)
             total += ctx.mult_comb(ctx.mult(w, u), v)
-            assert total.is_zero, (u, v, w)
+            assert not total, (u, v, w)
 
     @pytest.mark.parametrize("weight", [0, 1])
     def test_operator_law(self, ab, weight):
@@ -213,7 +213,7 @@ class TestIdentitiesSampled:
             total = ctx.mult_comb(ctx.mult(u, v), w)
             total += ctx.mult_comb(ctx.mult(v, w), u)
             total += ctx.mult_comb(ctx.mult(w, u), v)
-            assert total.is_zero, (u, v, w)
+            assert not total, (u, v, w)
 
     @pytest.mark.parametrize("weight", [0, 1])
     def test_operator_law_on_seeded_pairs(self, ab, weight):
@@ -250,7 +250,7 @@ class TestDerivedLaws:
             total -= dot(dot(y, x), z) - dot(y, dot(x, z))
             if weight:
                 total += dot(m(x, y), z)
-            assert total.is_zero, (u, v, w)
+            assert not total, (u, v, w)
 
 
 class TestOwnCopies:

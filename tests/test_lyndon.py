@@ -185,11 +185,11 @@ class TestProduct:
             if u.deg + v.deg > 6:
                 continue
             total = ctx.mult_comb(u, v) + ctx.mult_comb(v, u)
-            assert total.is_zero, (u, v)
+            assert not total, (u, v)
 
     def test_self_product_is_zero(self, ctx, ab):
         for w in enumerate_basis(LSContext(ab), 5):
-            assert ctx.mult_comb(w, w).is_zero
+            assert not ctx.mult_comb(w, w)
 
     def test_jacobi(self, ctx, ab):
         words = enumerate_basis(LSContext(ab), 6)
@@ -199,7 +199,7 @@ class TestProduct:
             total = ctx.mult_comb(ctx.mult_comb(u, v), w)
             total += ctx.mult_comb(ctx.mult_comb(v, w), u)
             total += ctx.mult_comb(ctx.mult_comb(w, u), v)
-            assert total.is_zero, (u, v, w)
+            assert not total, (u, v, w)
 
     def test_outputs_stay_in_basis_and_are_homogeneous(self, ctx, ab):
         words = enumerate_basis(LSContext(ab), 5)
