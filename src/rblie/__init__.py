@@ -5,7 +5,7 @@ combinations (lincomb), the expression grammar (expr), Lyndon-style word
 shapes (lyndon), the generic straightening engine (straighten), partially
 commutative contexts (pcls), free operator contexts (free_rb), structure
 tables and their laws (algebras), enveloping contexts (enveloping), the
-property harness (verify), and the CLI (cli).
+seeded generator (rng), the property harness (verify), and the CLI (cli).
 """
 
 from .algebras import (

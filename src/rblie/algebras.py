@@ -273,7 +273,7 @@ def parse_algebra_text(text):
     post.
     """
     kind = None
-    names = None
+    alphabet = None
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -289,11 +289,14 @@ def parse_algebra_text(text):
                 raise ValueError("line %d: kind must be one of %s" % (lineno, KINDS))
             kind = rest
         elif head == "basis":
-            if names is not None:
+            if alphabet is not None:
                 raise ValueError("line %d: duplicate basis line" % lineno)
-            names = rest.split()
-            if not names:
+            if not rest:
                 raise ValueError("line %d: empty basis" % lineno)
+            try:
+                alphabet = Alphabet(rest.split())
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (lineno, exc)) from None
         elif head in ("dot", "bracket"):
             fields = rest.split(None, 2)
             if len(fields) != 3 or not fields[2].startswith("="):
@@ -301,9 +304,8 @@ def parse_algebra_text(text):
             entries.append((lineno, head, fields[0], fields[1], fields[2][1:].strip()))
         else:
             raise ValueError("line %d: unknown directive %r" % (lineno, head))
-    if names is None:
+    if alphabet is None:
         raise ValueError("missing basis line")
-    alphabet = Alphabet(names)
     tables = {"dot": {}, "bracket": {}}
     for lineno, table, a, b, rhs in entries:
         for nm in (a, b):
@@ -315,6 +317,9 @@ def parse_algebra_text(text):
             comb = parse_expr(rhs, alphabet)
         except ExprError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
+        if comb and (kind, table) in (("pre", "bracket"), ("lie", "dot")):
+            raise ValueError("line %d: a %s table has no %s entries"
+                             % (lineno, "pre-Lie" if kind == "pre" else "Lie", table))
         entry = {}
         for w, c in comb.items():
             if not isinstance(w, Gen):
@@ -325,7 +330,7 @@ def parse_algebra_text(text):
     if kind is None:
         kind = "post" if (tables["dot"] and tables["bracket"]) else (
             "lie" if tables["bracket"] else "pre")
-    return StructureAlgebra(names, kind, dot=tables["dot"], bracket=tables["bracket"])
+    return StructureAlgebra(alphabet.names, kind, dot=tables["dot"], bracket=tables["bracket"])
 
 
 def load_algebra(path):

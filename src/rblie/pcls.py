@@ -74,6 +74,8 @@ def parse_graph_text(text, alphabet):
         for name in parts[1:]:
             if name not in alphabet:
                 raise ValueError("line %d: unknown generator %r" % (lineno, name))
+        if parts[1] == parts[2]:
+            raise ValueError("line %d: loop edge at %r" % (lineno, parts[1]))
         edges.append((parts[1], parts[2]))
     return CommGraph(alphabet.names, edges)
 

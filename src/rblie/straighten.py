@@ -23,12 +23,12 @@ Rules 5 and 6 expand their two terms through the same bilinear loop as
 Rules 5 and 6 are identities in any Lie algebra, rule 3 encodes the
 defining relations of the target, so the loop computes coordinates in
 the basis selected by the context's membership test.  Since rule 4
-checks only the root, the loop takes its operands for basis words: the
-public `mult`, `mult_comb` and `apply_r` check every operand word and
-raise ValueError on one that is not (R of a non-basis word is not a
-basis word either), while `evaluate` takes any word and straightens it
-through the unchecked internal `_mult_comb` and `_apply_r`, as the
-letter rules do.
+checks only the root, the loop takes its operands for basis words.
+Products have one checked entry, `mult_comb` (`mult` is the same
+method): like `apply_r`, it raises ValueError on an operand word that is
+not a basis word (R of one is not a basis word either), while `evaluate`
+takes any word and straightens it through the unchecked internal
+`_mult_comb` and `_apply_r`, as the letter rules do.
 
 A context keeps one copy of each word it builds.  Its basis cache maps a
 basis word to the context's own copy of it, the first equal word stored;
@@ -53,7 +53,7 @@ use this one rule.  One bidegree table, `bidegree_words`, serves both
 `enumerate_basis` (brackets passing `bracket_ok`) and
 `verify.all_operator_words` (every bracket).
 
-Termination is guarded by fuel.  Each call of `mult`, `mult_comb` or
+Termination is guarded by fuel.  Each call of `mult_comb` or
 `evaluate` gets one budget of `fuel_limit` rewriting steps (default one
 million) and spends it on all the products the call makes: the whole
 bilinear expansion of `mult_comb`'s operands, and every bracket node
@@ -64,11 +64,12 @@ free, so whether a call runs out of fuel depends on how much of its work
 the memo already holds.  A product whose expansion needs itself raises a
 cyclic FuelError.
 
-Results are memoized per context; entries are pure values, so threads
-may share one context: duplicate writes are idempotent, and the
-in-progress products that the cycle guard tracks belong to each call's
-own budget, so one thread never mistakes another's unfinished product
-for a cycle.
+Results are memoized per context.  Every public result is a new
+combination that its caller owns, never a memo entry, so entries stay
+pure values and threads may share one context: duplicate writes are
+idempotent, and the in-progress products that the cycle guard tracks
+belong to each call's own budget, so one thread never mistakes
+another's unfinished product for a cycle.
 """
 
 from __future__ import annotations
@@ -162,33 +163,25 @@ class BasisContext:
 
     # -- products ----------------------------------------------------------
 
-    def mult(self, u, v):
-        """Product of two basis words as a combination over the basis.
-
-        Rule 4 takes the operands for basis words, so each is checked
-        first: ValueError names one that is not (`evaluate` takes any word).
-        """
-        self._check_operands((u, v))
-        return self._mult(u, v, _Fuel(self.fuel_limit))
-
     def mult_comb(self, x, y):
-        """Bilinear product of combinations of basis words (words accepted
-        as singletons); like `mult`, it refuses a non-basis operand word."""
-        x, y = self.as_comb(x), self.as_comb(y)
-        self._check_operands((*x, *y))
+        """Bilinear product of combinations of basis words, a word standing
+        for its one-term combination, as a new combination the caller owns.
+        ValueError names an operand word that is not a basis word."""
+        x, y = self._operand(x), self._operand(y)
         return self._mult_comb(x, y, _Fuel(self.fuel_limit))
 
-    def _check_operands(self, words):
-        for w in words:
+    mult = mult_comb
+
+    def _operand(self, x):
+        """The operand gate: x as a combination of basis words of this context."""
+        if isinstance(x, Word):
+            x = LinComb.single(x)
+        elif not isinstance(x, LinComb):
+            raise TypeError("expected Word or LinComb, got %r" % (x,))
+        for w in x:
             if not self.is_basis_word(w):
                 raise ValueError("not a basis word of this context: %s" % (w,))
-
-    def as_comb(self, x):
-        if isinstance(x, LinComb):
-            return x
-        if isinstance(x, Word):
-            return LinComb.single(x)
-        raise TypeError("expected Word or LinComb, got %r" % (x,))
+        return x
 
     def apply_r(self, x):
         """Wrap every word of x with the operator (basis words stay basis words).
@@ -198,9 +191,7 @@ class BasisContext:
         """
         if not self.supports_operator:
             raise ValueError("this basis has no operator")
-        x = self.as_comb(x)
-        self._check_operands(x)
-        return self._apply_r(x)
+        return self._apply_r(self._operand(x))
 
     def _apply_r(self, x):
         out = LinComb()

@@ -263,6 +263,12 @@ class TestTextFormat:
             ("basis e\ndot e e = e\ndot e e = 0\n", "line 3"),
             ("basis e\nproduct e e = e\n", "line 2"),
             ("basis e\ndot e e = [e,e]\n", "line 2"),
+            ("basis a b a\n", "^line 1: duplicate generator name 'a'$"),
+            ("# R is the operator\nbasis a R\n", "^line 2: the name R is reserved"),
+            ("basis a 1b\n", "^line 1: bad generator name '1b'$"),
+            ("kind pre\nbasis a\nbracket a a = a\n",
+             "^line 3: a pre-Lie table has no bracket entries$"),
+            ("basis a\ndot a a = a\nkind lie\n", "^line 2: a Lie table has no dot entries$"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):

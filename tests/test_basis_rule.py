@@ -148,6 +148,26 @@ class TestOperandsAreChecked:
             ctx.mult(RApp(a), b)
 
 
+class TestOneEntryForProducts:
+    """`mult` is `mult_comb`: one operand gate, and a result that the
+    caller owns rather than the memo's own entry."""
+
+    def test_editing_a_result_leaves_the_memo_alone(self):
+        ctx = LSContext(AB)
+        a, b = AB.gens()
+        first = ctx.mult(Br(a, b), b)
+        first.iadd(a, 5)
+        assert format_lincomb(ctx.mult(Br(a, b), b)) == "[[a,b],b]"
+
+    def test_mult_takes_the_operands_of_mult_comb(self):
+        ctx = LSContext(AB)
+        a, b = AB.gens()
+        assert ctx.mult(a, LinComb.single(b)) == ctx.mult_comb(a, b) == {Br(a, b): 1}
+        for bad in ((a, 5), (5, a)):
+            with pytest.raises(TypeError, match="expected Word or LinComb, got 5"):
+                ctx.mult(*bad)
+
+
 # `evaluate` returns a basis word as it is, without a product, which is
 # right only if no letter rule resolves the product of a basis word's halves
 SHORTCUT_CASES = [c[:2] for c in CASES

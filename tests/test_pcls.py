@@ -78,6 +78,10 @@ class TestGraphFiles:
         with pytest.raises(ValueError, match="line 1"):
             parse_graph_text("edge a z\n", abc)
 
+    def test_loop_edge_reports_number(self, abc):
+        with pytest.raises(ValueError, match="^line 2: loop edge at 'c'$"):
+            parse_graph_text("edge a b\nedge c c\n", abc)
+
     def test_load_demo_graph(self, abc):
         g = load_graph("demos/graphs/path.graph", abc)
         assert g.adjacent("a", "b")
