@@ -32,12 +32,10 @@ takes any word and straightens it through the unchecked internal
 
 A context keeps one copy of each word it builds.  Its basis cache maps a
 basis word to the context's own copy of it, the first equal word stored;
-rule 4 stores the bracket it makes there and returns the stored copy,
-and the operator goes through a per-context map from a basis word w to
-the own copy of R(w), also stored in the basis cache.  So equal words
-that the engine makes are one object: later lookups of them are
-identity hits, and the memo does not hold a copy per product that made
-one.
+rule 4 stores the bracket it makes there, and the operator goes through
+a per-context map from a basis word w to the own copy of R(w), also
+stored in the basis cache.  So equal words that the engine makes are
+one object, and later lookups of them are identity hits.
 
 The basis is given by one recursive rule, `BasisContext.is_basis_word`:
 a generator of the alphabet is a basis word; R(w) is one when the
@@ -64,12 +62,14 @@ free, so whether a call runs out of fuel depends on how much of its work
 the memo already holds.  A product whose expansion needs itself raises a
 cyclic FuelError.
 
-Results are memoized per context.  Every public result is a new
-combination that its caller owns, never a memo entry, so entries stay
-pure values and threads may share one context: duplicate writes are
-idempotent, and the in-progress products that the cycle guard tracks
-belong to each call's own budget, so one thread never mistakes
-another's unfinished product for a cycle.
+Results are memoized per context.  A memo value is the own copy of a
+basis word when the product is that word with coefficient 1 (most often
+rule 4's answer), and otherwise a combination; the engine reads a word
+as its one-term combination.  Every public result is a new combination
+that its caller owns, never a memo value, so no value is edited once
+stored and threads may share one context: duplicate writes are
+idempotent, and the cycle guard's in-progress products belong to each
+call's own budget, so one thread never mistakes another's for a cycle.
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ class BasisContext:
         elif not isinstance(x, LinComb):
             raise TypeError("expected Word or LinComb, got %r" % (x,))
         for w in x:
+            if not isinstance(w, Word):
+                raise TypeError("expected a combination of Words, got key %r" % (w,))
             if not self.is_basis_word(w):
                 raise ValueError("not a basis word of this context: %s" % (w,))
         return x
@@ -244,8 +246,14 @@ class BasisContext:
         out = LinComb()
         for wu, cu in x.items():
             for wv, cv in y.items():
-                out.iadd_comb(self._mult(wu, wv, fuel), cu * cv)
+                hit = self._mult(wu, wv, fuel)
+                (out.iadd if isinstance(hit, Word) else out.iadd_comb)(hit, cu * cv)
         return out
+
+    def _mult_as_comb(self, u, v, fuel):
+        """u*v as a combination to read, a word answer as {word: 1}."""
+        hit = self._mult(u, v, fuel)
+        return {hit: 1} if isinstance(hit, Word) else hit
 
     def _mult(self, u, v, fuel):
         key = (u, v)
@@ -261,6 +269,10 @@ class BasisContext:
         fuel.active.add(key)
         res = self._mult_steps(u, v, fuel)
         fuel.active.discard(key)
+        if not isinstance(res, Word) and len(res) == 1 and 1 in res.values():
+            # a one-word answer is kept as the word, like rule 4's
+            (w,) = res
+            res = self._basis_cache.setdefault(w, w)
         self._memo[key] = res
         return res
 
@@ -268,22 +280,23 @@ class BasisContext:
         if u == v:
             return LinComb()
         if total_cmp(u, v) < 0:
-            return -self._mult(v, u, fuel)
+            hit = self._mult(v, u, fuel)
+            return LinComb.single(hit, -1) if isinstance(hit, Word) else -hit
         if u.deg == 1 and v.deg == 1:
             direct = self.letter_rule(u, v, fuel)
             if direct is not None:
                 return direct
         if self.bracket_ok(u, v):
             w = Br(u, v)
-            return LinComb.single(self._basis_cache.setdefault(w, w))
+            return self._basis_cache.setdefault(w, w)
         if isinstance(u, Br):
-            first = self._mult_comb(self._mult(u.left, v, fuel), {u.right: 1}, fuel)
-            second = self._mult_comb({u.left: 1}, self._mult(u.right, v, fuel), fuel)
+            first = self._mult_comb(self._mult_as_comb(u.left, v, fuel), {u.right: 1}, fuel)
+            second = self._mult_comb({u.left: 1}, self._mult_as_comb(u.right, v, fuel), fuel)
             # first is fresh from _mult_comb, so the sum may be built in it
             return first.iadd_comb(second, -1 if self.corrupt_sign else 1)
         if isinstance(v, Br):
-            first = self._mult_comb(self._mult(u, v.left, fuel), {v.right: 1}, fuel)
-            second = self._mult_comb({v.left: 1}, self._mult(u, v.right, fuel), fuel)
+            first = self._mult_comb(self._mult_as_comb(u, v.left, fuel), {v.right: 1}, fuel)
+            second = self._mult_comb({v.left: 1}, self._mult_as_comb(u, v.right, fuel), fuel)
             return first.iadd_comb(second)
         raise AssertionError(
             "no rule for letters %s, %s: incomplete context %r" % (u, v, self)

@@ -167,6 +167,16 @@ class TestOneEntryForProducts:
             with pytest.raises(TypeError, match="expected Word or LinComb, got 5"):
                 ctx.mult(*bad)
 
+    def test_a_combination_of_non_words_is_refused_with_type_error(self):
+        # the gate checks a combination's keys too, not only its own type
+        ctx = LSContext(AB)
+        a, b = AB.gens()
+        for bad in ((LinComb({"a": 1}), b), (a, LinComb({"a": 1}))):
+            with pytest.raises(TypeError, match="got key 'a'"):
+                ctx.mult(*bad)
+        with pytest.raises(TypeError, match="got key 'a'"):
+            FreeRBContext(AB).apply_r(LinComb({"a": 1}))
+
 
 # `evaluate` returns a basis word as it is, without a product, which is
 # right only if no letter rule resolves the product of a basis word's halves

@@ -152,7 +152,10 @@ class TestCoefficients:
         words = enumerate_basis(ctx, 3, 1)
         for u, v in itertools.product(words, repeat=2):
             assert all(type(c) is int for c in ctx.mult(u, v).values()), (u, v)
-        assert all(type(c) is int for out in ctx._memo.values() for c in out.values())
+        for out in ctx._memo.values():
+            # a word value stands for itself with the int coefficient 1
+            terms = out if isinstance(out, LinComb) else {out: 1}
+            assert all(type(c) is int for c in terms.values()), out
 
     def test_scaling_keeps_exact_types(self):
         comb = LinComb.single("x", 3)
@@ -280,6 +283,39 @@ class TestOwnCopies:
         triples = list(itertools.product(enumerate_basis(ctx, 2, 1), repeat=3))
         assert check_derived(ctx, triples).passed
         assert len(ctx._memo) == entries
+
+
+class TestMemoValues:
+    """A memo value is the context's own copy of a basis word when the
+    product is that word with coefficient 1, and otherwise a combination."""
+
+    @pytest.mark.parametrize("weight", [0, 1])
+    def test_one_word_answers_are_stored_as_the_own_word(self, ab, weight):
+        ctx = FreeRBContext(ab, weight=weight)
+        words = enumerate_basis(ctx, 3, 1)
+        for u, v in itertools.product(words, repeat=2):
+            ctx.mult(u, v)
+        stored = 0
+        for key, value in ctx._memo.items():
+            if isinstance(value, LinComb):
+                assert len(value) != 1 or 1 not in value.values(), key
+            else:
+                assert value is ctx._basis_cache[value], key
+                stored += 1
+        assert stored > len(ctx._memo) // 3
+
+    def test_a_word_answer_is_a_new_combination_each_time(self, ctx1, ab):
+        u, v = parse_word("[R(a),b]", ab), parse_word("a", ab)
+        w = parse_word("[[R(a),b],a]", ab)
+        first = ctx1.mult(u, v)
+        assert type(first) is LinComb and first == {w: 1}
+        assert ctx1._memo[(u, v)] is next(iter(first))
+        first.iadd(w, 5)
+        first.iadd(v, 1)
+        assert ctx1.mult(u, v) == {w: 1}
+        assert ctx1.mult(v, u) == {w: -1}
+        assert ctx1.mult_comb(LinComb.single(u, Fraction(1, 2)), v) == {w: Fraction(1, 2)}
+        assert ctx1.mult(u, v) is not ctx1.mult(u, v)
 
 
 class TestGradedShape:
