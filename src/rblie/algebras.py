@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .expr import ExprError, format_lincomb, parse_expr
+from .expr import format_lincomb, numbered_line, parse_expr
 from .lincomb import LinComb
 from .terms import Alphabet, Gen
 
@@ -82,26 +82,25 @@ class StructureAlgebra:
         self.alphabet = Alphabet(names)
         self.names = self.alphabet.names
         self.kind = kind
-        self.dot = self._check_table(dot or {})
-        self.bracket = self._check_table(bracket or {})
-        if kind == "pre" and self.bracket:
-            raise ValueError("a pre-Lie table has no bracket entries")
-        if kind == "lie" and self.dot:
-            raise ValueError("a Lie table has no dot entries")
+        self.dot, self.bracket = {}, {}
+        for table, entries in (("dot", dot), ("bracket", bracket)):
+            for (a, b), comb in (entries or {}).items():
+                self._add_entry(table, a, b, comb)
 
-    def _check_table(self, table):
-        out = {}
-        for (a, b), comb in table.items():
-            if a not in self.alphabet or b not in self.alphabet:
-                raise ValueError("table entry over unknown name (%r,%r)" % (a, b))
-            entry = LinComb()
-            for name, coeff in comb.items():
-                if name not in self.alphabet:
-                    raise ValueError("table value uses unknown name %r" % (name,))
-                entry.iadd(name, coeff)
-            if entry:
-                out[(a, b)] = entry
-        return out
+    def _add_entry(self, table, a, b, comb):
+        """Store `comb`, a map from basis names to coefficients, as the entry
+        of (a, b) in `table` ("dot" or "bracket"); a zero entry is dropped."""
+        for name in (a, b, *comb):
+            if name not in self.alphabet:
+                raise ValueError("unknown basis element %r" % (name,))
+        entry = LinComb()
+        for name, coeff in comb.items():
+            entry.iadd(name, coeff)
+        if entry and (self.kind, table) in (("pre", "bracket"), ("lie", "dot")):
+            raise ValueError("a %s table has no %s entries"
+                             % ("pre-Lie" if self.kind == "pre" else "Lie", table))
+        if entry:
+            getattr(self, table)[(a, b)] = entry
 
     @property
     def dim(self):
@@ -270,7 +269,7 @@ def parse_algebra_text(text):
     order), then "dot ei ej = <expr>" / "bracket ei ej = <expr>" entries;
     omitted pairs are zero; "#" starts a comment line.  Without a kind
     line the tables decide: dot only -> pre, bracket only -> lie, both ->
-    post.
+    post.  Every error but a missing basis line names its line.
     """
     kind = None
     alphabet = None
@@ -282,55 +281,41 @@ def parse_algebra_text(text):
         parts = line.split(None, 1)
         head = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
-        if head == "kind":
-            if kind is not None:
-                raise ValueError("line %d: duplicate kind line" % lineno)
-            if rest not in KINDS:
-                raise ValueError("line %d: kind must be one of %s" % (lineno, KINDS))
-            kind = rest
-        elif head == "basis":
-            if alphabet is not None:
-                raise ValueError("line %d: duplicate basis line" % lineno)
-            if not rest:
-                raise ValueError("line %d: empty basis" % lineno)
-            try:
+        with numbered_line(lineno):
+            if head == "kind":
+                if kind is not None:
+                    raise ValueError("duplicate kind line")
+                if rest not in KINDS:
+                    raise ValueError("kind must be one of %s" % (KINDS,))
+                kind = rest
+            elif head == "basis":
+                if alphabet is not None:
+                    raise ValueError("duplicate basis line")
                 alphabet = Alphabet(rest.split())
-            except ValueError as exc:
-                raise ValueError("line %d: %s" % (lineno, exc)) from None
-        elif head in ("dot", "bracket"):
-            fields = rest.split(None, 2)
-            if len(fields) != 3 or not fields[2].startswith("="):
-                raise ValueError("line %d: expected '%s ei ej = expr'" % (lineno, head))
-            entries.append((lineno, head, fields[0], fields[1], fields[2][1:].strip()))
-        else:
-            raise ValueError("line %d: unknown directive %r" % (lineno, head))
+            elif head in ("dot", "bracket"):
+                fields = rest.split(None, 2)
+                if len(fields) != 3 or not fields[2].startswith("="):
+                    raise ValueError("expected '%s ei ej = expr'" % head)
+                entries.append((lineno, head, fields[0], fields[1], fields[2][1:].strip()))
+            else:
+                raise ValueError("unknown directive %r" % head)
     if alphabet is None:
         raise ValueError("missing basis line")
-    tables = {"dot": {}, "bracket": {}}
-    for lineno, table, a, b, rhs in entries:
-        for nm in (a, b):
-            if nm not in alphabet:
-                raise ValueError("line %d: unknown basis element %r" % (lineno, nm))
-        if (a, b) in tables[table]:
-            raise ValueError("line %d: duplicate %s entry (%s,%s)" % (lineno, table, a, b))
-        try:
-            comb = parse_expr(rhs, alphabet)
-        except ExprError as exc:
-            raise ValueError("line %d: %s" % (lineno, exc)) from None
-        if comb and (kind, table) in (("pre", "bracket"), ("lie", "dot")):
-            raise ValueError("line %d: a %s table has no %s entries"
-                             % (lineno, "pre-Lie" if kind == "pre" else "Lie", table))
-        entry = {}
-        for w, c in comb.items():
-            if not isinstance(w, Gen):
-                raise ValueError("line %d: entries must be combinations of basis elements"
-                                 % lineno)
-            entry[w.name] = c
-        tables[table][(a, b)] = entry
     if kind is None:
-        kind = "post" if (tables["dot"] and tables["bracket"]) else (
-            "lie" if tables["bracket"] else "pre")
-    return StructureAlgebra(alphabet.names, kind, dot=tables["dot"], bracket=tables["bracket"])
+        heads = {entry[1] for entry in entries}
+        kind = "post" if len(heads) == 2 else ("lie" if heads == {"bracket"} else "pre")
+    algebra = StructureAlgebra(alphabet.names, kind)
+    seen = set()
+    for lineno, table, a, b, rhs in entries:
+        with numbered_line(lineno):
+            if (table, a, b) in seen:
+                raise ValueError("duplicate %s entry (%s,%s)" % (table, a, b))
+            seen.add((table, a, b))
+            comb = parse_expr(rhs, alphabet)
+            if not all(isinstance(w, Gen) for w in comb):
+                raise ValueError("entries must be combinations of basis elements")
+            algebra._add_entry(table, a, b, {w.name: c for w, c in comb.items()})
+    return algebra
 
 
 def load_algebra(path):

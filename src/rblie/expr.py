@@ -14,6 +14,7 @@ coefficients, and puts no whitespace inside a word.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .lincomb import LinComb
@@ -28,6 +29,15 @@ class ExprError(ValueError):
     def __init__(self, message, offset):
         super().__init__("%s at offset %d" % (message, offset))
         self.offset = offset
+
+
+@contextmanager
+def numbered_line(lineno):
+    """Name line `lineno` of a file in any ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
 
 
 _SYMBOLS = "[],()+-*/"

@@ -14,6 +14,7 @@ rule: the bracket of two adjacent generators is zero.
 
 from __future__ import annotations
 
+from .expr import numbered_line
 from .lincomb import LinComb
 from .straighten import BasisContext
 from .terms import Gen
@@ -28,19 +29,18 @@ class CommGraph:
 
     def __init__(self, vertices, edges=()):
         self.vertices = tuple(vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex")
-        pairs = set()
-        for a, b in edges:
-            if a not in vset:
-                raise ValueError("unknown vertex %r in edge" % (a,))
-            if b not in vset:
-                raise ValueError("unknown vertex %r in edge" % (b,))
-            if a == b:
-                raise ValueError("loop edge at %r" % (a,))
-            pairs.add(frozenset((a, b)))
-        self.edges = frozenset(pairs)
+        self.edges = frozenset(self._edge(a, b) for a, b in edges)
+
+    def _edge(self, a, b):
+        """The edge {a, b}, refused unless a and b are distinct vertices."""
+        for v in (a, b):
+            if v not in self.vertices:
+                raise ValueError("unknown vertex %r in edge" % (v,))
+        if a == b:
+            raise ValueError("loop edge at %r" % (a,))
+        return frozenset((a, b))
 
     @classmethod
     def empty(cls, alphabet):
@@ -60,24 +60,22 @@ class CommGraph:
 def parse_graph_text(text, alphabet):
     """Read a graph over the alphabet: one "edge <name> <name>" per line.
 
-    Blank lines and lines starting with "#" are skipped; unknown names
-    and malformed lines are errors.
+    Blank lines and lines starting with "#" are skipped.  A malformed line,
+    or an edge CommGraph refuses, is an error that names its line.
     """
+    graph = CommGraph(alphabet.names)
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "edge":
-            raise ValueError("line %d: expected 'edge <name> <name>'" % lineno)
-        for name in parts[1:]:
-            if name not in alphabet:
-                raise ValueError("line %d: unknown generator %r" % (lineno, name))
-        if parts[1] == parts[2]:
-            raise ValueError("line %d: loop edge at %r" % (lineno, parts[1]))
-        edges.append((parts[1], parts[2]))
-    return CommGraph(alphabet.names, edges)
+        with numbered_line(lineno):
+            if len(parts) != 3 or parts[0] != "edge":
+                raise ValueError("expected 'edge <name> <name>'")
+            edges.append(graph._edge(parts[1], parts[2]))
+    graph.edges = frozenset(edges)
+    return graph
 
 
 def load_graph(path, alphabet):

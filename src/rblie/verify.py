@@ -29,10 +29,12 @@ from collections import Counter
 from .algebras import (
     Report, abelianize, jacobi_residue, post_lie_residues, pre_lie_residue, rb_residue,
 )
+from .enveloping import EnvContext, pbw_table
 from .free_rb import FreeRBContext
+from .pcls import CommGraph, LSContext, PCLSContext
 from .rng import XorShift64
 from .straighten import bidegree_words, enumerate_basis
-from .terms import Br, atoms, compare_words, sort_words_descending
+from .terms import Alphabet, Br, atoms, compare_words, sort_words_descending
 
 __all__ = [
     "PROPERTIES", "run_property", "sample_basis",
@@ -119,8 +121,6 @@ def check_pbw(ctx, max_deg, max_rdeg):
     """Basis counts per (letter degree, operator degree) are blind to the
     structure constants: the abelianized table yields identical counts.
     The report's rows are the counts over this context's table."""
-    from .enveloping import EnvContext, pbw_table
-
     report = Report("pbw deg<=%d rdeg<=%d" % (max_deg, max_rdeg))
     flat = EnvContext(abelianize(ctx.algebra))
     ours = report.rows = pbw_table(ctx, max_deg, max_rdeg)
@@ -195,9 +195,6 @@ def witt_count(k, n):
 
 
 def check_enum_oracles():
-    from .pcls import LSContext, PCLSContext, CommGraph
-    from .terms import Alphabet
-
     report = Report("enum-oracles")
     ls = LSContext(Alphabet(("a", "b")))
     listed_ls = enumerate_basis(ls, 6)

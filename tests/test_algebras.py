@@ -269,6 +269,9 @@ class TestTextFormat:
             ("kind pre\nbasis a\nbracket a a = a\n",
              "^line 3: a pre-Lie table has no bracket entries$"),
             ("basis a\ndot a a = a\nkind lie\n", "^line 2: a Lie table has no dot entries$"),
+            ("basis\n", "^line 1: alphabet must declare at least one generator$"),
+            ("basis e\ndot e f = g\n", "^line 2: unknown generator 'g' at offset 0$"),
+            ("basis e\ndot e f = e\n", "^line 2: unknown basis element 'f'$"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):

@@ -146,6 +146,8 @@ class TestOperandsAreChecked:
         a, b = AB.gens()
         with pytest.raises(ValueError, match=re.escape("R(a)")):
             ctx.mult(RApp(a), b)
+        with pytest.raises(ValueError, match="^this basis has no operator$"):
+            ctx.apply_r(a)
 
 
 class TestOneEntryForProducts:

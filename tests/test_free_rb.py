@@ -143,6 +143,10 @@ class TestOperator:
         assert not ctx0.mult_comb(RApp(a), RApp(a))
         assert not ctx1.mult_comb(RApp(a), RApp(a))
 
+    def test_weight_is_zero_or_one(self, ab):
+        with pytest.raises(ValueError, match="^weight must be 0 or 1, got 2$"):
+            FreeRBContext(ab, weight=2)
+
 
 class TestCoefficients:
     def test_integer_coefficients_stay_int(self, ab):

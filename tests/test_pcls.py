@@ -51,6 +51,10 @@ class TestCommGraph:
         with pytest.raises(ValueError):
             CommGraph(abc.names, [("a", "z")])
 
+    def test_duplicate_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate vertex$"):
+            CommGraph(("a", "a"))
+
     def test_complete(self, abc):
         g = CommGraph.complete(abc)
         assert len(g.edges) == 3
@@ -81,6 +85,10 @@ class TestGraphFiles:
     def test_loop_edge_reports_number(self, abc):
         with pytest.raises(ValueError, match="^line 2: loop edge at 'c'$"):
             parse_graph_text("edge a b\nedge c c\n", abc)
+
+    def test_unknown_name_is_the_graph_error(self, abc):
+        with pytest.raises(ValueError, match="^line 2: unknown vertex 'z' in edge$"):
+            parse_graph_text("edge a b\nedge z a\n", abc)
 
     def test_load_demo_graph(self, abc):
         g = load_graph("demos/graphs/path.graph", abc)
@@ -115,6 +123,10 @@ class TestMembership:
         # refused when the context is made, not at the first test of c
         with pytest.raises(ValueError, match="'c' not in the graph's vertex set"):
             PCLSContext(abc, CommGraph(("a", "b")))
+
+    def test_graph_vertex_outside_the_alphabet_is_refused(self, abc):
+        with pytest.raises(ValueError, match="^graph vertex 'd' not in alphabet$"):
+            PCLSContext(abc, CommGraph(("a", "b", "c", "d")))
 
 
     def test_generator_of_another_alphabet_is_not_a_member(self):

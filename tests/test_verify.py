@@ -11,12 +11,15 @@ from conftest import TEST_ALGEBRA_MAKERS, one_dim_pre, so3_post
 from rblie.algebras import load_algebra
 from rblie.enveloping import EnvContext
 from rblie.free_rb import FreeRBContext
-from rblie.pcls import LSContext
+from rblie.lincomb import LinComb
+from rblie.pcls import LSContext, PCLSContext
 from rblie.rng import XorShift64
-from rblie.terms import Alphabet
+from rblie.terms import Alphabet, Br, Gen
 from rblie.verify import (
     PROPERTIES,
     check_enum_oracles,
+    check_graded_shape,
+    check_pbw,
     check_spanning,
     run_property,
     sample_basis,
@@ -238,3 +241,41 @@ class TestGoldenReports:
         assert _golden(report) == (
             "FAIL reduce-hom checked=30 witness=([[R(t),u],u] | [u,t])", 30,
             ["([[R(t),u],u] | [u,t])", "([[u,t],t] | [[R(u),t],u])"])
+
+
+class TestNegativeControls:
+    """Each check below fails, with its exact report line, on a context
+    that breaks the rule the check guards."""
+
+    def test_graded_shape_reports_an_overflowing_product(self, ab):
+        class Overflow(LSContext):
+            def letter_rule(self, u, v, fuel):
+                return LinComb.single(Br(Br(u, v), Br(u, v)))
+
+        a, b = ab.gens()
+        assert check_graded_shape(Overflow(ab), [(a, b)]).line() == (
+            "FAIL assump checked=1 witness=(a | b) overflow [[a,b],[a,b]]")
+
+    def test_pbw_reports_a_structure_dependent_count(self):
+        class Thin(EnvContext):
+            def bracket_ok(self, p, q):
+                if self.algebra.bracket and p.xdeg + q.xdeg == 3:
+                    return False
+                return super().bracket_ok(p, q)
+
+        assert check_pbw(Thin(so3_post()), 3, 2).line() == (
+            "FAIL pbw deg<=3 rdeg<=2 checked=18 "
+            "witness=bidegree (3, 2): 0 here, 18 abelianized")
+
+    def test_enum_oracles_report_a_count_off_the_closed_form(self, monkeypatch):
+        # [b,a] becomes a basis word beside [a,b] in every graph context
+        rule = PCLSContext.bracket_ok
+
+        def also_b_a(self, p, q):
+            return rule(self, p, q) or (
+                isinstance(p, Gen) and isinstance(q, Gen) and (p.name, q.name) == ("b", "a"))
+
+        monkeypatch.setattr(PCLSContext, "bracket_ok", also_b_a)
+        assert check_enum_oracles().line() == (
+            "FAIL enum-oracles checked=8 "
+            "witness=free Lie on 2 letters, degree 2: 2 words, closed form 1")
