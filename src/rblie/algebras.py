@@ -272,6 +272,7 @@ def parse_algebra_text(text):
     post.  Every error but a missing basis line names its line.
     """
     kind = None
+    kind_line = 0
     alphabet = None
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -285,9 +286,7 @@ def parse_algebra_text(text):
             if head == "kind":
                 if kind is not None:
                     raise ValueError("duplicate kind line")
-                if rest not in KINDS:
-                    raise ValueError("kind must be one of %s" % (KINDS,))
-                kind = rest
+                kind, kind_line = rest, lineno
             elif head == "basis":
                 if alphabet is not None:
                     raise ValueError("duplicate basis line")
@@ -304,7 +303,10 @@ def parse_algebra_text(text):
     if kind is None:
         heads = {entry[1] for entry in entries}
         kind = "post" if len(heads) == 2 else ("lie" if heads == {"bracket"} else "pre")
-    algebra = StructureAlgebra(alphabet.names, kind)
+    with numbered_line(kind_line):
+        # the names passed the basis line and an inferred kind is valid,
+        # so only a kind line's value can be refused here
+        algebra = StructureAlgebra(alphabet.names, kind)
     seen = set()
     for lineno, table, a, b, rhs in entries:
         with numbered_line(lineno):

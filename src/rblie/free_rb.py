@@ -43,9 +43,9 @@ class FreeRBContext(BasisContext):
 
     def letter_rule(self, u, v, fuel):
         if isinstance(u, RApp) and isinstance(v, RApp):
-            inner = LinComb(self._mult_as_comb(u, v.arg, fuel))
-            inner.iadd_comb(self._mult_as_comb(u.arg, v, fuel))
+            inner = LinComb().iadd_comb(*self._mult_as_comb(u, v.arg, fuel))
+            inner.iadd_comb(*self._mult_as_comb(u.arg, v, fuel))
             if self.weight:
-                inner.iadd_comb(self._mult_as_comb(u.arg, v.arg, fuel))
+                inner.iadd_comb(*self._mult_as_comb(u.arg, v.arg, fuel))
             return self._apply_r(inner)
         return None

@@ -18,7 +18,10 @@ rule:
      form of Jacobi: u*v = (u*v1)*v2 + v1*(u*v2).
 
 Rules 5 and 6 expand their two terms through the same bilinear loop as
-`mult_comb`, with the single word as a one-term combination.
+`mult_comb`, with the single word as a one-term combination.  Rule 2
+computes and memoizes v*u, and the memo entry of u*v is a marker that
+its readers take as -(v*u), folding the sign into the coefficient or
+into the one-term operand.
 
 Rules 5 and 6 are identities in any Lie algebra, rule 3 encodes the
 defining relations of the target, so the loop computes coordinates in
@@ -64,12 +67,16 @@ cyclic FuelError.
 
 Results are memoized per context.  A memo value is the own copy of a
 basis word when the product is that word with coefficient 1 (most often
-rule 4's answer), and otherwise a combination; the engine reads a word
-as its one-term combination.  Every public result is a new combination
-that its caller owns, never a memo value, so no value is edited once
-stored and threads may share one context: duplicate writes are
-idempotent, and the cycle guard's in-progress products belong to each
-call's own budget, so one thread never mistakes another's for a cycle.
+rule 4's answer), rule 2's marker when u < v, and otherwise a
+combination.  The engine reads a word as its one-term combination, and
+the marker as -(v*u), from the entry (v, u) that rule 2 stores before
+the marker.  Since u*v has an entry of its own, its first computation
+spends one step of fuel and a repeat is a free hit, as for any product.
+Every public result is a new combination that its caller owns, never a
+memo value, so no value is edited once stored and threads may share one
+context: duplicate writes are idempotent, and the cycle guard's
+in-progress products belong to each call's own budget, so one thread
+never mistakes another's for a cycle.
 """
 
 from __future__ import annotations
@@ -78,6 +85,9 @@ from .lincomb import LinComb
 from .terms import Br, Gen, RApp, Word, atoms, compare_words, sort_words_descending, total_cmp
 
 __all__ = ["FuelError", "BasisContext", "bidegree_words", "enumerate_basis"]
+
+# rule 2's memo value for u*v with u < v: it reads as -(v*u), the (v, u) entry
+_REVERSED = object()
 
 
 class FuelError(RuntimeError):
@@ -247,13 +257,22 @@ class BasisContext:
         for wu, cu in x.items():
             for wv, cv in y.items():
                 hit = self._mult(wu, wv, fuel)
-                (out.iadd if isinstance(hit, Word) else out.iadd_comb)(hit, cu * cv)
+                c = cu * cv
+                if hit is _REVERSED:
+                    hit = self._memo[wv, wu]
+                    c = -c
+                (out.iadd if isinstance(hit, Word) else out.iadd_comb)(hit, c)
         return out
 
     def _mult_as_comb(self, u, v, fuel):
-        """u*v as a combination to read, a word answer as {word: 1}."""
+        """u*v as (comb, sign) with u*v = sign * comb: a combination to read,
+        a word answer as {word: 1}, and rule 2's answer as -(v*u)."""
         hit = self._mult(u, v, fuel)
-        return {hit: 1} if isinstance(hit, Word) else hit
+        sign = 1
+        if hit is _REVERSED:
+            hit = self._memo[v, u]
+            sign = -1
+        return ({hit: 1} if isinstance(hit, Word) else hit), sign
 
     def _mult(self, u, v, fuel):
         key = (u, v)
@@ -269,8 +288,9 @@ class BasisContext:
         fuel.active.add(key)
         res = self._mult_steps(u, v, fuel)
         fuel.active.discard(key)
-        if not isinstance(res, Word) and len(res) == 1 and 1 in res.values():
-            # a one-word answer is kept as the word, like rule 4's
+        if isinstance(res, LinComb) and len(res) == 1 and 1 in res.values():
+            # a one-word answer is kept as the word, like rule 4's (a word
+            # and rule 2's marker are not combinations, and are kept as given)
             (w,) = res
             res = self._basis_cache.setdefault(w, w)
         self._memo[key] = res
@@ -280,8 +300,9 @@ class BasisContext:
         if u == v:
             return LinComb()
         if total_cmp(u, v) < 0:
-            hit = self._mult(v, u, fuel)
-            return LinComb.single(hit, -1) if isinstance(hit, Word) else -hit
+            # v*u is memoized first, so the readers find it under (v, u)
+            self._mult(v, u, fuel)
+            return _REVERSED
         if u.deg == 1 and v.deg == 1:
             direct = self.letter_rule(u, v, fuel)
             if direct is not None:
@@ -289,14 +310,19 @@ class BasisContext:
         if self.bracket_ok(u, v):
             w = Br(u, v)
             return self._basis_cache.setdefault(w, w)
+        # the sign of an inner product goes into the one-term operand
         if isinstance(u, Br):
-            first = self._mult_comb(self._mult_as_comb(u.left, v, fuel), {u.right: 1}, fuel)
-            second = self._mult_comb({u.left: 1}, self._mult_as_comb(u.right, v, fuel), fuel)
+            inner, sign = self._mult_as_comb(u.left, v, fuel)
+            first = self._mult_comb(inner, {u.right: sign}, fuel)
+            inner, sign = self._mult_as_comb(u.right, v, fuel)
+            second = self._mult_comb({u.left: sign}, inner, fuel)
             # first is fresh from _mult_comb, so the sum may be built in it
             return first.iadd_comb(second, -1 if self.corrupt_sign else 1)
         if isinstance(v, Br):
-            first = self._mult_comb(self._mult_as_comb(u, v.left, fuel), {v.right: 1}, fuel)
-            second = self._mult_comb({v.left: 1}, self._mult_as_comb(u, v.right, fuel), fuel)
+            inner, sign = self._mult_as_comb(u, v.left, fuel)
+            first = self._mult_comb(inner, {v.right: sign}, fuel)
+            inner, sign = self._mult_as_comb(u, v.right, fuel)
+            second = self._mult_comb({v.left: sign}, inner, fuel)
             return first.iadd_comb(second)
         raise AssertionError(
             "no rule for letters %s, %s: incomplete context %r" % (u, v, self)

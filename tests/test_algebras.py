@@ -272,6 +272,8 @@ class TestTextFormat:
             ("basis\n", "^line 1: alphabet must declare at least one generator$"),
             ("basis e\ndot e f = g\n", "^line 2: unknown generator 'g' at offset 0$"),
             ("basis e\ndot e f = e\n", "^line 2: unknown basis element 'f'$"),
+            ("basis e\nkind banana\n",
+             r"^line 2: kind must be one of \('pre', 'post', 'lie'\)$"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):

@@ -19,7 +19,7 @@ from rblie.free_rb import FreeRBContext
 from rblie.lincomb import LinComb
 from rblie.pcls import LSContext
 from rblie.straighten import FuelError, enumerate_basis
-from rblie.terms import Alphabet, Br, Gen, RApp, total_cmp
+from rblie.terms import Alphabet, Br, Gen, RApp, Word, total_cmp
 from rblie.verify import check_derived, check_jacobi, sample_basis
 
 
@@ -156,7 +156,10 @@ class TestCoefficients:
         words = enumerate_basis(ctx, 3, 1)
         for u, v in itertools.product(words, repeat=2):
             assert all(type(c) is int for c in ctx.mult(u, v).values()), (u, v)
-        for out in ctx._memo.values():
+        for (u, v), out in ctx._memo.items():
+            if total_cmp(u, v) < 0:
+                out = ctx._memo[v, u]  # rule 2's entry reads as -(v*u)
+            assert isinstance(out, (LinComb, Word)), (u, v)
             # a word value stands for itself with the int coefficient 1
             terms = out if isinstance(out, LinComb) else {out: 1}
             assert all(type(c) is int for c in terms.values()), out
@@ -291,22 +294,46 @@ class TestOwnCopies:
 
 class TestMemoValues:
     """A memo value is the context's own copy of a basis word when the
-    product is that word with coefficient 1, and otherwise a combination."""
+    product is that word with coefficient 1, rule 2's marker when u < v,
+    and otherwise a combination."""
 
-    @pytest.mark.parametrize("weight", [0, 1])
-    def test_one_word_answers_are_stored_as_the_own_word(self, ab, weight):
+    def multiplied(self, ab, weight):
+        """A context that has multiplied every pair of basis words in a box."""
         ctx = FreeRBContext(ab, weight=weight)
         words = enumerate_basis(ctx, 3, 1)
         for u, v in itertools.product(words, repeat=2):
             ctx.mult(u, v)
+        return ctx
+
+    @pytest.mark.parametrize("weight", [0, 1])
+    def test_one_word_answers_are_stored_as_the_own_word(self, ab, weight):
+        ctx = self.multiplied(ab, weight)
         stored = 0
-        for key, value in ctx._memo.items():
+        for (u, v), value in ctx._memo.items():
             if isinstance(value, LinComb):
-                assert len(value) != 1 or 1 not in value.values(), key
-            else:
-                assert value is ctx._basis_cache[value], key
+                assert len(value) != 1 or 1 not in value.values(), (u, v)
+            elif isinstance(value, Word):
+                assert value is ctx._basis_cache[value], (u, v)
                 stored += 1
+            else:
+                # rule 2's marker: u*v reads as -(v*u), which holds a value
+                assert total_cmp(u, v) < 0, (u, v)
+                assert isinstance(ctx._memo[v, u], (LinComb, Word)), (u, v)
         assert stored > len(ctx._memo) // 3
+
+    @pytest.mark.parametrize("weight,entries", [(0, 740), (1, 754)])
+    def test_rule_two_keeps_no_value_of_its_own(self, ab, weight, entries):
+        # u*v for u < v is read from v*u: its entry stays, so fuel and memo
+        # size are unchanged, but it holds neither a word nor a combination
+        ctx = self.multiplied(ab, weight)
+        oriented = 0
+        for (u, v), value in ctx._memo.items():
+            if total_cmp(u, v) < 0:
+                assert not isinstance(value, (Word, dict)), (u, v)
+                assert isinstance(ctx._memo[v, u], (Word, dict)), (u, v)
+                oriented += 1
+        assert oriented > 0
+        assert len(ctx._memo) == entries
 
     def test_a_word_answer_is_a_new_combination_each_time(self, ctx1, ab):
         u, v = parse_word("[R(a),b]", ab), parse_word("a", ab)
@@ -382,6 +409,15 @@ class TestFuel:
             assert str(raised.value) == "straightening cycled while multiplying a by b"
             assert ctx._memo == {}
 
+    @pytest.mark.parametrize("left,right,forward,reverse",
+                             [("R([a,b])", "R(R(a))", 8, 7), ("a", "[R(a),b]", 3, 2)])
+    def test_least_budgets_of_both_orders(self, ab, left, right, forward, reverse):
+        # u < v here, so u*v first costs one step for rule 2 on top of v*u
+        u, v = parse_word(left, ab), parse_word(right, ab)
+        assert total_cmp(u, v) < 0
+        assert _least_budget(ab, lambda ctx: ctx.mult(u, v)) == forward
+        assert _least_budget(ab, lambda ctx: ctx.mult(v, u)) == reverse
+
 
 def _least_budget(ab, call):
     """The smallest fuel_limit under which call(fresh context) succeeds."""
@@ -404,22 +440,48 @@ class TestConcurrency:
         triples = sample_basis(ctx, 3, 2, 7, 40, 3)
         reports, errors = [], []
 
-        def work():
+        def work(_):
             try:
                 reports.append(check_jacobi(ctx, triples))
             except FuelError as exc:
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        _race(work)
         assert errors == []
         assert len(reports) == 4 and all(r.passed for r in reports)
+
+    def test_threads_multiplying_both_orders_agree(self, ab):
+        # rule 2 stores a marker for u*v that reads v*u's entry, so threads
+        # racing on u*v and v*u must still see -(v*u) and v*u
+        ctx = FreeRBContext(ab, weight=1)
+        pairs = sample_basis(ctx, 3, 2, 11, 150, 2)
+        orders = [pairs, [(v, u) for u, v in pairs]] * 2
+        results, errors = [None] * 4, []
+
+        def work(i):
+            try:
+                results[i] = [ctx.mult(u, v) for u, v in orders[i]]
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        _race(work)
+        assert errors == []
+        alone = FreeRBContext(ab, weight=1)
+        for i, order in enumerate(orders):
+            assert results[i] == [alone.mult(u, v) for u, v in order], i
+
+
+def _race(work, count=4):
+    """Run work(0), ..., work(count - 1) on threads at a short switch
+    interval, so that they interleave finely, and check that all finished."""
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
