@@ -69,10 +69,11 @@ class EnvContext(FreeRBContext):
 
     def bracket_ok(self, p, q):
         # R-letters of bracket words wrap non-generators, and for weight 1
-        # every bracket node holds an R (see the module docstring)
+        # every bracket node holds an R (see the module docstring); as p and
+        # q are basis words, [p,q] holds one unless both are generators
         if _r_of_gen(p) or _r_of_gen(q):
             return False
-        if self.weight and not (p.degr or q.degr):
+        if self.weight and isinstance(p, Gen) and isinstance(q, Gen):
             return False
         return super().bracket_ok(p, q)
 

@@ -44,7 +44,7 @@ _SYMBOLS = "[],()+-*/"
 
 
 def _tokenize(text):
-    """Yield (kind, value, offset); kinds: name, int, one of the symbol chars, end."""
+    """A list of (kind, value, offset); kinds: name, int, one of the symbol chars, end."""
     out = []
     i = 0
     n = len(text)

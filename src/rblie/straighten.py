@@ -8,7 +8,8 @@ rule:
   2. if u < v, orient: u*v = -(v*u);
   3. a context letter rule may resolve a product of two letters directly
      (operator composition, a structure-constant table, a vanishing
-     bracket of adjacent letters);
+     bracket of adjacent letters); "two letters" is a type test, neither
+     operand a bracket;
   4. if the root check `bracket_ok(u, v)` passes, [u,v] is a basis word
      and is the answer (both halves are basis words already, so only the
      root is checked);
@@ -303,7 +304,7 @@ class BasisContext:
             # v*u is memoized first, so the readers find it under (v, u)
             self._mult(v, u, fuel)
             return _REVERSED
-        if u.deg == 1 and v.deg == 1:
+        if not isinstance(u, Br) and not isinstance(v, Br):
             direct = self.letter_rule(u, v, fuel)
             if direct is not None:
                 return direct

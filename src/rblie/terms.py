@@ -28,6 +28,11 @@ Three size measures on a word w:
     with deg 1 (every R(z) has deg 1) but only finitely many with
     bounded xdeg and degr.
 
+A word stores only its parts.  Fixed sizes are class constants (a
+generator is 1/0/1, an R-node has deg 1); the others are computed on each
+read by one iterative walk, at any depth.  Only a bracket caches anything:
+its flattening, on the first `atoms` call.
+
 A word is a float whose value is its structural hash (the hash of its
 kind and parts, cut to 53 bits so that the float holds it exactly).
 That is the only reason for the base: each class sets
@@ -77,10 +82,15 @@ class Word(float):
     Equality is structural; see the module docstring for why a word is
     a float and what of float it refuses.  Each subclass that defines
     `__eq__` sets `__hash__ = float.__hash__` again, because defining
-    `__eq__` resets it.
+    `__eq__` resets it.  The sizes are properties over `_sizes`, which
+    the subclasses override with constants where a size is fixed.
     """
 
-    __slots__ = ("deg", "degr", "xdeg", "_atoms")
+    __slots__ = ()
+
+    deg = property(lambda self: _sizes(self)[0])
+    degr = property(lambda self: _sizes(self)[1])
+    xdeg = property(lambda self: _sizes(self)[2])
 
     __lt__ = __le__ = __gt__ = __ge__ = _refuse
     __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
@@ -103,15 +113,12 @@ class Gen(Word):
     """A generator letter.  Lower rank means greater letter (rank 0 is top)."""
 
     __slots__ = ("name", "rank")
+    deg, degr, xdeg = 1, 0, 1
 
     def __new__(cls, name, rank):
         self = float.__new__(cls, hash(("g", name, rank)) & _HASH_MASK)
         self.name = name
         self.rank = rank
-        self.deg = 1
-        self.degr = 0
-        self.xdeg = 1
-        self._atoms = None
         return self
 
     def __getnewargs__(self):
@@ -132,16 +139,13 @@ class RApp(Word):
     """The operator applied to a word; a single letter of the extended alphabet."""
 
     __slots__ = ("arg",)
+    deg = 1
 
     def __new__(cls, arg):
         if not isinstance(arg, Word):
             raise TypeError("R argument must be a Word")
         self = float.__new__(cls, hash(("R", arg)) & _HASH_MASK)
         self.arg = arg
-        self.deg = 1
-        self.degr = 1 + arg.degr
-        self.xdeg = arg.xdeg
-        self._atoms = None
         return self
 
     def __getnewargs__(self):
@@ -162,7 +166,7 @@ class RApp(Word):
 class Br(Word):
     """A bracket of two words."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_atoms")
 
     def __new__(cls, left, right):
         if not isinstance(left, Word) or not isinstance(right, Word):
@@ -170,9 +174,6 @@ class Br(Word):
         self = float.__new__(cls, hash(("b", left, right)) & _HASH_MASK)
         self.left = left
         self.right = right
-        self.deg = left.deg + right.deg
-        self.degr = left.degr + right.degr
-        self.xdeg = left.xdeg + right.xdeg
         self._atoms = None
         return self
 
@@ -195,17 +196,32 @@ class Br(Word):
         return "[%s,%s]" % (self.left, self.right)
 
 
+def _sizes(w):
+    """(deg, degr, xdeg) of w, by one walk with an explicit stack."""
+    deg = degr = xdeg = 0
+    todo = [(w, 1)]  # a node, and 1 if its letters are letters of w
+    while todo:
+        w, top = todo.pop()
+        if type(w) is Br:
+            todo += ((w.left, top), (w.right, top))
+        elif type(w) is RApp:
+            deg, degr = deg + top, degr + 1
+            todo.append((w.arg, 0))
+        else:
+            deg, xdeg = deg + top, xdeg + 1
+    return deg, degr, xdeg
+
+
 def atoms(w):
-    """The flattening of w: a tuple of its letters (Gen and RApp nodes), left to right."""
+    """The flattening of w: a tuple of its letters (Gen and RApp nodes), left
+    to right.  Only a bracket caches it; a letter gives a fresh `(w,)`."""
     if isinstance(w, tuple):
         return w
+    if type(w) is not Br:
+        return (w,)
     got = w._atoms
     if got is None:
-        if isinstance(w, Br):
-            got = atoms(w.left) + atoms(w.right)
-        else:
-            got = (w,)
-        w._atoms = got
+        got = w._atoms = atoms(w.left) + atoms(w.right)
     return got
 
 

@@ -113,6 +113,22 @@ def test_membership_and_enumeration_match_the_reference(label, make, reference,
     assert set(enumerate_basis(make(), max_deg, max_rdeg)) == expected
 
 
+@pytest.mark.parametrize("table", ["so3_post.alg", "pre_as_post.alg"])
+def test_weight_one_root_test_is_the_r_count(table):
+    # EnvContext's weight-1 rule reads "[p,q] holds an R" as "p and q are
+    # not both generators", which holds for basis words p, q; it must
+    # agree with counting the R symbols
+    ctx = EnvContext(load_algebra(os.path.join(TABLES, table)))
+    assert ctx.weight == 1
+    words = enumerate_basis(ctx, 3, 2)
+    for p in words:
+        for q in words:
+            by_count = (p.degr + q.degr > 0
+                        and not any(isinstance(w, RApp) and isinstance(w.arg, Gen) for w in (p, q))
+                        and FreeRBContext.bracket_ok(ctx, p, q))
+            assert ctx.bracket_ok(p, q) == by_count, (p, q)
+
+
 class TestOperandsAreChecked:
     """Rule 4 checks only the root of a product, so `mult` and `mult_comb`
     refuse an operand that is not a basis word instead of answering with

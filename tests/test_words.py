@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from rblie.terms import (
     Br,
     Gen,
     RApp,
+    atoms,
     compare_words,
     sort_words_descending,
     total_cmp,
@@ -89,6 +91,38 @@ class TestDegrees:
         w = RApp(Br(a, Br(a, b)))
         assert w.deg == 1
         assert w.xdeg == 3
+
+    def test_sizes_match_counts_of_the_text(self, ab):
+        # counted without the size code: names and "R(" in the text, and
+        # the letters of the flattening
+        for w in all_operator_words(ab, 5, 2):
+            text = str(w)
+            assert w.xdeg == text.count("a") + text.count("b"), text
+            assert w.degr == text.count("R("), text
+            assert w.deg == len(atoms(w)), text
+
+    def test_deep_words_keep_their_sizes(self, a, b):
+        # far past the recursion limit, in either direction of nesting
+        w = a
+        for _ in range(5000):
+            w = RApp(w)
+        assert (w.deg, w.degr, w.xdeg) == (1, 5000, 1)
+        w = a
+        for _ in range(2999):
+            w = Br(w, b)
+        assert (w.deg, w.degr, w.xdeg) == (3000, 0, 3000)
+
+    def test_footprint_is_the_parts(self, a, b):
+        # a bracket stores its halves and its flattening, an R-node its
+        # argument; the sizes are not stored
+        class ThreeSlots(float):
+            __slots__ = ("x", "y", "z")
+
+        class OneSlot(float):
+            __slots__ = ("x",)
+
+        assert sys.getsizeof(Br(a, b)) == sys.getsizeof(ThreeSlots())
+        assert sys.getsizeof(RApp(a)) == sys.getsizeof(OneSlot())
 
 
 class TestCompare:
