@@ -85,9 +85,7 @@ def _r_of_gen(w):
 def embed(ctx, x):
     """The generator-level copy of an element of the underlying algebra,
     given as a basis name or a LinComb over names."""
-    if isinstance(x, str):
-        return LinComb.single(ctx.alphabet.gen(x))
-    return ctx._lift(x)
+    return ctx._lift({x: 1} if isinstance(x, str) else x)
 
 
 def pbw_table(ctx, max_deg, max_rdeg):

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .lincomb import LinComb
-from .terms import Br, RApp, descending_key
+from .terms import Br, RApp, sort_words_descending
 
 __all__ = ["ExprError", "parse_word", "parse_expr", "format_lincomb"]
 
@@ -179,7 +179,7 @@ def format_lincomb(lc, key=None):
     if not lc:
         return "0"
     parts = []
-    for word in sorted(lc, key=key or descending_key()):
+    for word in sorted(lc, key=key) if key else sort_words_descending(lc):
         coeff = lc[word]
         body = str(word) if abs(coeff) == 1 else "%s*%s" % (abs(coeff), word)
         if not parts:

@@ -70,11 +70,4 @@ class LinComb(dict):
     def scaled(self, factor):
         if not isinstance(factor, (int, Fraction)):
             factor = Fraction(factor)
-        out = LinComb()
-        if factor:
-            for key, coeff in self.items():
-                c = coeff * factor
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator
-                out[key] = c
-        return out
+        return LinComb().iadd_comb(self, factor)

@@ -59,8 +59,7 @@ from functools import cmp_to_key
 
 __all__ = [
     "Word", "Gen", "RApp", "Br", "Alphabet",
-    "atoms", "compare_words", "total_cmp",
-    "descending_key", "sort_words_descending",
+    "atoms", "compare_words", "total_cmp", "sort_words_descending",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -214,14 +213,26 @@ def _sizes(w):
 
 def atoms(w):
     """The flattening of w: a tuple of its letters (Gen and RApp nodes), left
-    to right.  Only a bracket caches it; a letter gives a fresh `(w,)`."""
+    to right.  Only a bracket caches it; a letter gives a fresh `(w,)`.
+    A missing one is built on an explicit stack, halves first, at any depth."""
     if isinstance(w, tuple):
         return w
     if type(w) is not Br:
         return (w,)
     got = w._atoms
     if got is None:
-        got = w._atoms = atoms(w.left) + atoms(w.right)
+        todo = [w]
+        while todo:
+            x = todo[-1]
+            left, right = x.left, x.right
+            if type(left) is Br and left._atoms is None:
+                todo.append(left)
+            elif type(right) is Br and right._atoms is None:
+                todo.append(right)
+            else:
+                x._atoms = atoms(left) + atoms(right)
+                todo.pop()
+        got = w._atoms
     return got
 
 
@@ -258,8 +269,6 @@ def total_cmp(u, v):
     (compared by argument), two brackets (by halves), or two generators of
     equal rank, which it leaves equal.
     """
-    if u == v:
-        return 0
     c = compare_words(u, v)
     if c:
         return c
@@ -270,13 +279,8 @@ def total_cmp(u, v):
     return 0
 
 
-def descending_key():
-    """Sort key putting greater words first."""
-    return cmp_to_key(lambda a, b: -total_cmp(a, b))
-
-
 def sort_words_descending(words):
-    return sorted(words, key=descending_key())
+    return sorted(words, key=cmp_to_key(lambda a, b: -total_cmp(a, b)))
 
 
 class Alphabet:

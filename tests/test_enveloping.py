@@ -191,6 +191,12 @@ class TestEmbed:
     def test_by_name(self, env_pre2):
         assert embed(env_pre2, "t") == LinComb.single(env_pre2.alphabet.gen("t"))
 
+    def test_unknown_name_refused(self, env_pre2):
+        with pytest.raises(ValueError):
+            embed(env_pre2, "z")
+        with pytest.raises(ValueError):
+            embed(env_pre2, LinComb({"z": 1}))
+
     def test_by_combination(self, env_pre2):
         x = LinComb({"u": 2, "t": -1})
         got = embed(env_pre2, x)

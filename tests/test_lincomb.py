@@ -34,6 +34,17 @@ def test_operators_keep_the_normal_form():
     assert type(half + half) is type(half - half) is type(-half) is LinComb
 
 
+def test_scaled_keeps_a_float_factor_exact():
+    # the factor becomes a Fraction first: 3 * Fraction(0.1), not Fraction(3 * 0.1)
+    assert LinComb.single("x", 3).scaled(0.1) == {"x": 3 * Fraction(0.1)}
+    assert 3 * Fraction(0.1) != Fraction(3 * 0.1)
+
+
+def test_scaled_stores_an_integral_product_as_int():
+    value = LinComb.single("x", 3).scaled(Fraction(2, 3))["x"]
+    assert type(value) is int and value == 2
+
+
 def test_the_constructor_copies_pairs_as_given():
     # dict's own: a repeated key keeps its last value, nothing is summed
     assert LinComb([("x", 1), ("x", 2)]) == {"x": 2}

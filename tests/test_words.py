@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from rblie.expr import parse_word
 from rblie.rng import XorShift64
 from rblie.terms import (
     Alphabet,
@@ -156,6 +157,26 @@ class TestCompare:
         assert compare_words(left, right) == 0
         assert total_cmp(left, right) != 0
         assert total_cmp(left, left) == 0
+
+    def test_total_cmp_is_zero_exactly_on_equal_words(self, ab):
+        # the copies are built apart, so no shortcut on identity can answer
+        words = all_operator_words(ab, 3, 1)
+        copies = [parse_word(str(w), ab) for w in words]
+        for u in words:
+            for v, cv in zip(words, copies):
+                c = total_cmp(u, cv)
+                assert (c == 0) == (u == cv), (u, v)
+                assert c == -total_cmp(cv, u), (u, v)
+
+    def test_deep_brackets_flatten_and_compare(self, a, b):
+        # far past the recursion limit: left-normed a b...b, right-normed a...a b
+        left, right = a, b
+        for _ in range(2999):
+            left, right = Br(left, b), Br(a, right)
+        for w in (left, right):
+            assert len(atoms(w)) == 3000 and w.deg == len(atoms(w))
+            assert compare_words(w, w) == 0
+        assert compare_words(left, right) == -1
 
     def test_sort_descending(self, ab):
         a, b = ab.gens()
