@@ -4,8 +4,10 @@ Every Lie-type product in this package is computed by one rewriting loop.
 For basis words u, v the product u*v is resolved by the first applicable
 rule:
 
-  1. equal operands give 0;
-  2. if u < v, orient: u*v = -(v*u);
+  1. operands with equal flattenings are one word and give 0: a basis
+     word's flattening is a Lyndon-Shirshov word, which has exactly one
+     standard bracketing, and R-letters compare by their arguments' ones;
+  2. if u < v by flattening, orient: u*v = -(v*u);
   3. a context letter rule may resolve a product of two letters directly
      (operator composition, a structure-constant table, a vanishing
      bracket of adjacent letters); "two letters" is a type test, neither
@@ -66,24 +68,24 @@ free, so whether a call runs out of fuel depends on how much of its work
 the memo already holds.  A product whose expansion needs itself raises a
 cyclic FuelError.
 
-Results are memoized per context.  A memo value is the own copy of a
-basis word when the product is that word with coefficient 1 (most often
-rule 4's answer), rule 2's marker when u < v, and otherwise a
-combination.  The engine reads a word as its one-term combination, and
-the marker as -(v*u), from the entry (v, u) that rule 2 stores before
-the marker.  Since u*v has an entry of its own, its first computation
-spends one step of fuel and a repeat is a free hit, as for any product.
-Every public result is a new combination that its caller owns, never a
-memo value, so no value is edited once stored and threads may share one
-context: duplicate writes are idempotent, and the cycle guard's
-in-progress products belong to each call's own budget, so one thread
-never mistakes another's for a cycle.
+Results are memoized per context.  A memo value is what the rule
+returned: rule 4's own copy of the basis word [u,v], rule 2's marker
+when u < v, or the combination another rule built.  The engine reads a
+word as its one-term combination, and the marker as -(v*u), from the
+entry (v, u) that rule 2 stores before the marker.  Since u*v has an
+entry of its own, its first computation spends one step of fuel and a
+repeat is a free hit, as for any product.  Every public result is a new
+combination that its caller owns, never a memo value, so no value is
+edited once stored and threads may share one context: duplicate writes
+are idempotent, and the cycle guard's in-progress products belong to
+each call's own budget, so one thread never mistakes another's for a
+cycle.
 """
 
 from __future__ import annotations
 
 from .lincomb import LinComb
-from .terms import Br, Gen, RApp, Word, atoms, compare_words, sort_words_descending, total_cmp
+from .terms import Br, Gen, RApp, Word, atoms, compare_words, sort_words_descending
 
 __all__ = ["FuelError", "BasisContext", "bidegree_words", "enumerate_basis"]
 
@@ -289,18 +291,14 @@ class BasisContext:
         fuel.active.add(key)
         res = self._mult_steps(u, v, fuel)
         fuel.active.discard(key)
-        if isinstance(res, LinComb) and len(res) == 1 and 1 in res.values():
-            # a one-word answer is kept as the word, like rule 4's (a word
-            # and rule 2's marker are not combinations, and are kept as given)
-            (w,) = res
-            res = self._basis_cache.setdefault(w, w)
         self._memo[key] = res
         return res
 
     def _mult_steps(self, u, v, fuel):
-        if u == v:
+        c = compare_words(u, v)
+        if not c:
             return LinComb()
-        if total_cmp(u, v) < 0:
+        if c < 0:
             # v*u is memoized first, so the readers find it under (v, u)
             self._mult(v, u, fuel)
             return _REVERSED

@@ -280,7 +280,7 @@ def total_cmp(u, v):
 
 
 def sort_words_descending(words):
-    return sorted(words, key=cmp_to_key(lambda a, b: -total_cmp(a, b)))
+    return sorted(words, key=cmp_to_key(total_cmp), reverse=True)
 
 
 class Alphabet:

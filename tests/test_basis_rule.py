@@ -11,6 +11,7 @@ pass it: a rotation test and a full re-check at every node.
 import glob
 import os
 import re
+from functools import cmp_to_key
 
 import pytest
 
@@ -22,7 +23,7 @@ from rblie.lincomb import LinComb
 from rblie.lyndon import ls_shape_ok
 from rblie.pcls import CommGraph, LSContext, PCLSContext
 from rblie.straighten import enumerate_basis
-from rblie.terms import Alphabet, Br, Gen, RApp
+from rblie.terms import Alphabet, Br, Gen, RApp, compare_words
 from rblie.verify import all_operator_words
 
 ABC = Alphabet(("a", "b", "c"))
@@ -127,6 +128,30 @@ def test_weight_one_root_test_is_the_r_count(table):
                         and not any(isinstance(w, RApp) and isinstance(w.arg, Gen) for w in (p, q))
                         and FreeRBContext.bracket_ok(ctx, p, q))
             assert ctx.bracket_ok(p, q) == by_count, (p, q)
+
+
+def _tie_cases():
+    edge = CommGraph(ABC.names, [("a", "b")])
+    cases = [("ls", lambda: LSContext(ABC), 6, 0),
+             ("pcls-edge", lambda: PCLSContext(ABC, edge), 5, 0)]
+    for weight in (0, 1):
+        cases.append(("free-rb-w%d" % weight, lambda w=weight: FreeRBContext(AB, weight=w), 4, 3))
+    for file in sorted(glob.glob(os.path.join(TABLES, "*.alg"))):
+        cases.append((os.path.basename(file), lambda f=file: EnvContext(load_algebra(f)), 4, 3))
+    return cases
+
+
+TIE_CASES = _tie_cases()
+
+
+@pytest.mark.parametrize("label,make,max_deg,max_rdeg", TIE_CASES, ids=[c[0] for c in TIE_CASES])
+def test_distinct_basis_words_never_tie_by_flattening(label, make, max_deg, max_rdeg):
+    # the engine's rules 1 and 2 order basis words by compare_words alone,
+    # which is right only if a basis word is fixed by its flattening
+    words = sorted(enumerate_basis(make(), max_deg, max_rdeg), key=cmp_to_key(compare_words))
+    assert len(set(words)) == len(words) > 1
+    for u, v in zip(words, words[1:]):
+        assert compare_words(u, v) != 0, (u, v)
 
 
 class TestOperandsAreChecked:

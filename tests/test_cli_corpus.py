@@ -43,6 +43,9 @@ def record(argv):
 @pytest.mark.parametrize("name", CASES)
 def test_command_prints_its_recording(name, monkeypatch):
     monkeypatch.chdir(ROOT)
+    # argparse wraps its usage text to the terminal's width; the
+    # recordings were made at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
     path = CORPUS / name
     assert record(command(path)) == path.read_text(encoding="utf-8")
 

@@ -293,9 +293,8 @@ class TestOwnCopies:
 
 
 class TestMemoValues:
-    """A memo value is the context's own copy of a basis word when the
-    product is that word with coefficient 1, rule 2's marker when u < v,
-    and otherwise a combination."""
+    """A memo value is what the rule returned: rule 4's own copy of the
+    basis word [u,v], rule 2's marker when u < v, or a combination."""
 
     def multiplied(self, ab, weight):
         """A context that has multiplied every pair of basis words in a box."""
@@ -310,12 +309,11 @@ class TestMemoValues:
         ctx = self.multiplied(ab, weight)
         stored = 0
         for (u, v), value in ctx._memo.items():
-            if isinstance(value, LinComb):
-                assert len(value) != 1 or 1 not in value.values(), (u, v)
-            elif isinstance(value, Word):
+            if isinstance(value, Word):
+                assert value == Br(u, v), (u, v)
                 assert value is ctx._basis_cache[value], (u, v)
                 stored += 1
-            else:
+            elif not isinstance(value, LinComb):
                 # rule 2's marker: u*v reads as -(v*u), which holds a value
                 assert total_cmp(u, v) < 0, (u, v)
                 assert isinstance(ctx._memo[v, u], (LinComb, Word)), (u, v)
