@@ -23,7 +23,7 @@ from .algebras import load_algebra
 from .enveloping import EnvContext, pbw_table
 from .expr import format_lincomb, parse_expr
 from .free_rb import FreeRBContext
-from .pcls import PCLSContext, load_graph
+from .pcls import LSContext, PCLSContext, load_graph
 from .straighten import FuelError, enumerate_basis
 from .terms import Alphabet
 from .verify import PROPERTIES, run_property
@@ -108,6 +108,8 @@ def _build_context(args):
         alphabet = Alphabet.from_spec(args.alphabet)
         if kind == "free-rb":
             ctx = FreeRBContext(alphabet, weight=args.weight or 0)
+        elif kind == "ls":
+            ctx = LSContext(alphabet)
         else:
             ctx = PCLSContext(alphabet, load_graph(args.graph, alphabet) if args.graph else None)
     if getattr(args, "max_rdeg", 0) and not ctx.supports_operator:

@@ -9,7 +9,9 @@ half; they form a linear basis of the Lie algebra with relations
 Lyndon-Shirshov basis of the free Lie algebra.
 
 Products are computed by the straightening engine with one extra letter
-rule: the bracket of two adjacent generators is zero.
+rule: the bracket of two adjacent generators is zero.  `LSContext`, the
+free Lie algebra, is the engine's defaults themselves: no letter commutes
+and no letter rule applies.
 """
 
 from __future__ import annotations
@@ -118,8 +120,5 @@ class PCLSContext(BasisContext):
         return None
 
 
-class LSContext(PCLSContext):
-    """The free Lie algebra: a commutation graph with no edges."""
-
-    def __init__(self, alphabet):
-        super().__init__(alphabet, CommGraph.empty(alphabet))
+class LSContext(BasisContext):
+    """The free Lie algebra: the engine's defaults, with no commuting letters."""

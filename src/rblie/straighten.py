@@ -63,10 +63,10 @@ million) and spends it on all the products the call makes: the whole
 bilinear expansion of `mult_comb`'s operands, and every bracket node
 that is not already a basis word in the expression `evaluate` is given
 (a basis word evaluates to the context's own copy of itself, with no
-product).  Only products computed afresh cost a step; memo hits are
-free, so whether a call runs out of fuel depends on how much of its work
-the memo already holds.  A product whose expansion needs itself raises a
-cyclic FuelError.
+product).  A budget of N pays for N products computed afresh, each one
+new memo entry; memo hits are free, so whether a call runs out of fuel
+depends on how much of its work the memo already holds.  A product
+whose expansion needs itself raises a cyclic FuelError.
 
 Results are memoized per context.  A memo value is what the rule
 returned: rule 4's own copy of the basis word [u,v], rule 2's marker
@@ -117,8 +117,10 @@ class _Fuel:
 class BasisContext:
     """A basis to compute in: membership rule, letter rules, one memo table.
 
-    Subclasses set `supports_operator` and may override the hooks
-    `adjacent`, `letter_rule` and `bracket_ok`.  `corrupt_sign` is a test-only
+    Its defaults are the free Lie algebra and its Lyndon-Shirshov basis: no
+    operator, no commuting letters and no letter rule.  Subclasses set
+    `supports_operator` and may override the hooks `adjacent`,
+    `letter_rule` and `bracket_ok`.  `corrupt_sign` is a test-only
     switch that flips one sign in rule 5 so harness failure paths can be
     exercised; set it before the first product (the memo is not
     invalidated) and never in real use.
@@ -285,9 +287,9 @@ class BasisContext:
         if key in fuel.active:
             # the expansion of u*v needs u*v itself: no rewrite can close this
             raise FuelError(u, v, cyclic=True)
-        fuel.left -= 1
         if fuel.left <= 0:
             raise FuelError(u, v)
+        fuel.left -= 1
         fuel.active.add(key)
         res = self._mult_steps(u, v, fuel)
         fuel.active.discard(key)

@@ -43,12 +43,6 @@ __all__ = [
     "check_enum_oracles", "all_operator_words", "witt_count",
 ]
 
-PROPERTIES = (
-    "anticomm", "jacobi", "rb", "derived-pre", "derived-post",
-    "assump", "pbw", "reduce-hom", "enum-oracles",
-)
-
-
 def sample_basis(ctx, max_deg, max_rdeg, seed, count, arity):
     """`count` tuples of basis words, drawn with replacement."""
     words = enumerate_basis(ctx, max_deg, max_rdeg)
@@ -219,6 +213,13 @@ def check_enum_oracles():
     return report
 
 
+# each sampled property's check and the arity of the basis tuples it samples
+_SAMPLED = {"anticomm": (check_anticomm, 2), "jacobi": (check_jacobi, 3),
+            "rb": (check_rb_property, 2), "derived-pre": (check_derived, 3),
+            "derived-post": (check_derived, 3), "assump": (check_graded_shape, 2)}
+PROPERTIES = (*_SAMPLED, "pbw", "reduce-hom", "enum-oracles")
+
+
 def run_property(prop, ctx, seed=1, count=200, max_deg=3, max_rdeg=2):
     """Dispatch a named property against a context; Report out."""
     if prop not in PROPERTIES:
@@ -237,16 +238,9 @@ def run_property(prop, ctx, seed=1, count=200, max_deg=3, max_rdeg=2):
     if prop in ("pbw", "reduce-hom") and not hasattr(ctx, "algebra"):
         raise ValueError("property %r needs an enveloping context" % (prop,))
 
-    if prop == "anticomm":
-        return check_anticomm(ctx, sample_basis(ctx, max_deg, max_rdeg, seed, count, 2))
-    if prop == "jacobi":
-        return check_jacobi(ctx, sample_basis(ctx, max_deg, max_rdeg, seed, count, 3))
-    if prop == "rb":
-        return check_rb_property(ctx, sample_basis(ctx, max_deg, max_rdeg, seed, count, 2))
-    if prop in ("derived-pre", "derived-post"):
-        return check_derived(ctx, sample_basis(ctx, max_deg, max_rdeg, seed, count, 3))
-    if prop == "assump":
-        return check_graded_shape(ctx, sample_basis(ctx, max_deg, max_rdeg, seed, count, 2))
     if prop == "pbw":
         return check_pbw(ctx, max_deg, max_rdeg)
-    return check_reduce_hom(ctx, max_deg, max_rdeg, seed, count)
+    if prop == "reduce-hom":
+        return check_reduce_hom(ctx, max_deg, max_rdeg, seed, count)
+    check, arity = _SAMPLED[prop]
+    return check(ctx, sample_basis(ctx, max_deg, max_rdeg, seed, count, arity))

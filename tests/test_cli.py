@@ -384,7 +384,7 @@ class TestFlagRule:
 
 
 @pytest.mark.parametrize("argv", [
-    ("mul", "--kind", "ls", "--alphabet", "a,b", "a", "b"),
+    ("mul", "--kind", "ls", "--alphabet", "a,b", "b", "a"),  # b*a and the a*b it reads
     ("verify", "--kind", "ls", "--alphabet", "a,b", "--property", "jacobi"),
 ], ids=["mul", "jacobi"])
 def test_fuel_one_runs_out_where_a_product_is_made(capsys, argv):
@@ -460,6 +460,30 @@ class TestFuel:
         code, out, err = run(capsys, "mul", "--kind", "free-rb",
                              "--alphabet", "a,b", "--fuel", "0", "a", "b")
         assert code == 2
+
+
+class TestDeepInput:
+    def test_recursion_error_exits_2_with_one_line(self, capsys, monkeypatch):
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_reduce", too_deep)
+        assert run(capsys, "reduce", "--kind", "ls", "--alphabet", "a,b", "a") == (
+            2, "", "error: input nested too deeply\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "R(" * 5000 + "a" + ")" * 5000),
+        ("mul", "R(" * 400 + "a" + ")" * 400, "R(" * 400 + "b" + ")" * 400),
+    ], ids=["reduce-tower-5000", "mul-towers-400"])
+    def test_a_deep_tower_exits_2_in_a_fresh_interpreter(self, argv):
+        command, *texts = argv
+        done = subprocess.run(
+            [sys.executable, "-m", "rblie.cli", command, "--kind", "free-rb",
+             "--alphabet", "a,b", *texts],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: input nested too deeply\n")
 
 
 class TestDeterminism:

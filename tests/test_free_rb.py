@@ -407,8 +407,19 @@ class TestFuel:
             assert str(raised.value) == "straightening cycled while multiplying a by b"
             assert ctx._memo == {}
 
+    @pytest.mark.parametrize("left,right", [
+        ("b", "a"), ("a", "b"), ("R([a,b])", "R(R(a))"), ("a", "[R(a),b]"),
+        ("[R(a),b]", "R(b)"), ("R(a)", "R(b)"),
+    ])
+    def test_a_budget_of_n_pays_for_n_fresh_products(self, ab, left, right):
+        # each product computed afresh is one memo entry and costs one step
+        u, v = parse_word(left, ab), parse_word(right, ab)
+        cold = FreeRBContext(ab)
+        cold.mult(u, v)
+        assert _least_budget(ab, lambda ctx: ctx.mult(u, v)) == len(cold._memo)
+
     @pytest.mark.parametrize("left,right,forward,reverse",
-                             [("R([a,b])", "R(R(a))", 8, 7), ("a", "[R(a),b]", 3, 2)])
+                             [("R([a,b])", "R(R(a))", 7, 6), ("a", "[R(a),b]", 2, 1)])
     def test_least_budgets_of_both_orders(self, ab, left, right, forward, reverse):
         # u < v here, so u*v first costs one step for rule 2 on top of v*u
         u, v = parse_word(left, ab), parse_word(right, ab)

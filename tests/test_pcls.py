@@ -43,6 +43,12 @@ class TestCommGraph:
         assert g.adjacent("b", "a")
         assert not g.adjacent("a", "c")
 
+    def test_adjacency_of_a_letter_outside_the_vertices_is_refused(self, abc):
+        g = CommGraph(abc.names, [("a", "b")])
+        for pair in (("a", "z"), ("z", "a")):
+            with pytest.raises(ValueError, match="^letter not in vertex set: 'z'$"):
+                g.adjacent(*pair)
+
     def test_loop_rejected(self, abc):
         with pytest.raises(ValueError):
             CommGraph(abc.names, [("a", "a")])
@@ -128,6 +134,10 @@ class TestMembership:
         with pytest.raises(ValueError, match="^graph vertex 'd' not in alphabet$"):
             PCLSContext(abc, CommGraph(("a", "b", "c", "d")))
 
+
+    def test_the_free_lie_context_takes_no_graph(self, abc, edge_ab):
+        with pytest.raises(TypeError):
+            LSContext(abc, edge_ab)
 
     def test_generator_of_another_alphabet_is_not_a_member(self):
         # same name, other rank: the letter of Alphabet("ba") is not this "a"

@@ -12,8 +12,9 @@ from rblie.algebras import load_algebra
 from rblie.enveloping import EnvContext
 from rblie.free_rb import FreeRBContext
 from rblie.lincomb import LinComb
-from rblie.pcls import LSContext, PCLSContext
+from rblie.pcls import LSContext
 from rblie.rng import XorShift64
+from rblie.straighten import BasisContext
 from rblie.terms import Alphabet, Br, Gen
 from rblie.verify import (
     PROPERTIES,
@@ -115,6 +116,17 @@ class TestRunProperty:
         for prop in ("pbw", "reduce-hom"):
             with pytest.raises(ValueError):
                 run_property(prop, FreeRBContext(ab))
+
+    def test_a_property_other_than_enum_oracles_needs_a_context(self):
+        with pytest.raises(ValueError, match="^property 'jacobi' needs a context$"):
+            run_property("jacobi", None)
+
+    @pytest.mark.parametrize("prop", PROPERTIES)
+    def test_each_property_runs_its_own_check(self, ab, prop):
+        ctx = {"derived-post": FreeRBContext(ab, weight=1), "pbw": EnvContext(so3_post()),
+               "reduce-hom": EnvContext(so3_post())}.get(prop, FreeRBContext(ab))
+        report = run_property(prop, ctx, count=3, max_deg=2, max_rdeg=1)
+        assert report.name.split()[0] == prop and report.checked and report.passed
 
     def test_enum_oracles_pass(self):
         report = check_enum_oracles()
@@ -256,6 +268,30 @@ class TestNegativeControls:
         assert check_graded_shape(Overflow(ab), [(a, b)]).line() == (
             "FAIL assump checked=1 witness=(a | b) overflow [[a,b],[a,b]]")
 
+    def test_graded_shape_reports_a_product_with_other_letters(self, ab):
+        class Repeat(LSContext):
+            def letter_rule(self, u, v, fuel):
+                return LinComb.single(Br(u, u))
+
+        a, b = ab.gens()
+        assert check_graded_shape(Repeat(ab), [(a, b)]).line() == (
+            "FAIL assump checked=1 witness=(a | b) letters [a,a]")
+
+    def test_graded_shape_reports_a_product_of_the_wrong_shape(self, ab):
+        # [a,[b,b]] has the letters of [a,b] and b, but its right factor
+        # [b,b] is below b, the smaller operand
+        a, b = ab.gens()
+        u = Br(a, b)
+
+        class Misshapen(LSContext):
+            def mult(self, x, y):
+                if (x, y) == (u, b):
+                    return LinComb.single(Br(a, Br(b, b)))
+                return super().mult(x, y)
+
+        assert check_graded_shape(Misshapen(ab), [(u, b)]).line() == (
+            "FAIL assump checked=1 witness=([a,b] | b) leading shape [a,[b,b]]")
+
     def test_pbw_reports_a_structure_dependent_count(self):
         class Thin(EnvContext):
             def bracket_ok(self, p, q):
@@ -269,13 +305,13 @@ class TestNegativeControls:
 
     def test_enum_oracles_report_a_count_off_the_closed_form(self, monkeypatch):
         # [b,a] becomes a basis word beside [a,b] in every graph context
-        rule = PCLSContext.bracket_ok
+        rule = BasisContext.bracket_ok
 
         def also_b_a(self, p, q):
             return rule(self, p, q) or (
                 isinstance(p, Gen) and isinstance(q, Gen) and (p.name, q.name) == ("b", "a"))
 
-        monkeypatch.setattr(PCLSContext, "bracket_ok", also_b_a)
+        monkeypatch.setattr(BasisContext, "bracket_ok", also_b_a)
         assert check_enum_oracles().line() == (
             "FAIL enum-oracles checked=8 "
             "witness=free Lie on 2 letters, degree 2: 2 words, closed form 1")

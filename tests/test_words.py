@@ -262,6 +262,13 @@ class TestWordContract:
             with pytest.raises(TypeError):
                 call()
 
+    def test_parts_must_be_words(self, ab):
+        a = ab.gen("a")
+        with pytest.raises(TypeError, match="^R argument must be a Word$"):
+            RApp(1)
+        with pytest.raises(TypeError, match="^bracket halves must be Words$"):
+            Br(a, "b")
+
     def test_always_true(self, ab):
         a, b = ab.gens()
         assert all(bool(w) for w in (a, RApp(a), Br(a, b)))
